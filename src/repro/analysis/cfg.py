@@ -14,7 +14,7 @@ handle is closed on every path".  This module adds the missing layer:
 * dominators and post-dominators (iterative set intersection), back
   edges and natural loops on top of them.
 * a generic forward/backward worklist dataflow solver the flow rules
-  (RL12 taint, RL13 typestate, RL14 hot-path) instantiate.
+  (RL12 taint, RL13 typestate) instantiate.
 
 Precision notes, chosen deliberately:
 

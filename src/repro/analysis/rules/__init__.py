@@ -20,7 +20,6 @@ from repro.analysis.rules import (  # noqa: F401  (imported for side effects)
     rl11_lockset,
     rl12_taint,
     rl13_lifecycle,
-    rl14_hotpath,
 )
 
 __all__ = [
@@ -37,5 +36,4 @@ __all__ = [
     "rl11_lockset",
     "rl12_taint",
     "rl13_lifecycle",
-    "rl14_hotpath",
 ]

@@ -120,18 +120,6 @@ class JournalBypassRule(BaseRule):
     #: docs/static_analysis.md).
     enforced = ("core", "engine", "apps", "io", "checker")
 
-    #: Like ``db/``, ``core/soa.py`` is a home of journaled primitives
-    #: rather than a consumer: its numpy mirror is synchronized *by* the
-    #: Design mutators and the Journal itself (sync_cell /
-    #: on_journal_record / on_journal_undo), so its array writes are the
-    #: receiving end of the journal, not a bypass of it.
-    primitive_modules = frozenset({("core", "soa.py")})
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        if (ctx.subpackage, ctx.module_name) in self.primitive_modules:
-            return False
-        return super().applies_to(ctx)
-
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):

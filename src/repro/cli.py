@@ -108,7 +108,6 @@ def _make_config(args: argparse.Namespace) -> LegalizerConfig:
         power_aligned=not args.relaxed,
         evaluation=EvaluationMode.EXACT if args.exact else EvaluationMode.APPROX,
         quarantine=getattr(args, "quarantine", False),
-        kernel=getattr(args, "kernel", "object"),
         **kwargs,
     )
 
@@ -503,11 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drop the power-rail alignment constraint")
     p.add_argument("--exact", action="store_true",
                    help="exact insertion point evaluation")
-    p.add_argument("--kernel", choices=["object", "soa"],
-                   default="object",
-                   help="MLL hot-path implementation: the reference "
-                        "object-model loops or the vectorized numpy "
-                        "struct-of-arrays sweeps (bit-identical result)")
     p.add_argument("--audit", action="store_true",
                    help="re-check every MLL insertion with the "
                         "independent legality checker (rolls back and "

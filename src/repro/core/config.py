@@ -73,22 +73,6 @@ class EvaluationMode(Enum):
     chains — O(|C_W|) per insertion point, exact cost."""
 
 
-class Kernel(Enum):
-    """Which implementation runs the MLL hot path.
-
-    Both kernels produce bit-identical placements (the benchmark harness
-    and the property tests assert it); the object kernel is retained as
-    the differential oracle for the vectorized one.
-    """
-
-    OBJECT = "object"
-    """The original pure-python object-traversal implementation."""
-
-    SOA = "soa"
-    """Vectorized struct-of-arrays sweeps over the numpy mirror
-    (:mod:`repro.core.soa`) for bounds, enumeration, and evaluation."""
-
-
 @dataclass(frozen=True, slots=True)
 class LegalizerConfig:
     """Tunable parameters of Algorithm 1 and MLL."""
@@ -143,13 +127,6 @@ class LegalizerConfig:
     leaves every successfully placed cell in place — partial legality
     the caller can audit, persist, or feed back to a placer."""
 
-    kernel: Kernel | str = Kernel.OBJECT
-    """Hot-path implementation: :attr:`Kernel.OBJECT` (the reference
-    object-model loops) or :attr:`Kernel.SOA` (vectorized numpy sweeps
-    over the :mod:`repro.core.soa` mirror).  A plain string (``"soa"``)
-    is accepted and normalized at construction.  Placements are
-    bit-identical either way; the switch only trades constant factors."""
-
     audit: bool = field(default_factory=_audit_default)
     """Run the independent legality checker over the realized region
     after every successful MLL insertion (:func:`repro.checker.
@@ -175,8 +152,3 @@ class LegalizerConfig:
             raise ValueError("max_target_displacement_um must be >= 0")
         if self.double_row_parity not in (None, 0, 1):
             raise ValueError("double_row_parity must be None, 0 or 1")
-        if not isinstance(self.kernel, Kernel):
-            # Accept the string spelling ("object" / "soa") from CLI
-            # flags and config files; Kernel() raises ValueError on
-            # anything unknown, which is the error we want here.
-            object.__setattr__(self, "kernel", Kernel(self.kernel))

@@ -15,8 +15,9 @@ value at rank ``ceil(p/100 * n)`` (1-based), implemented here as
 ``round(p/100 * n) - 1`` clamped into ``[0, n-1]`` — exactly the math
 ``benchmarks/trajectory.py`` has always used.
 
-No numpy here: the benchmarks import this from outside the package
-tree and must not pull in heavyweight dependencies at import time.
+Pure standard library: the benchmarks import this from outside the
+package tree and must not pull in heavyweight dependencies at import
+time.
 """
 
 from __future__ import annotations

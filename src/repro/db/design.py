@@ -10,18 +10,15 @@ so that the segment lists never go stale.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.db.cell import Cell
 from repro.db.floorplan import Floorplan
-from repro.db.journal import Journal, JournalEntry, Transaction
+from repro.db.journal import Journal, Transaction
 from repro.db.library import CellMaster, Library
 from repro.db.netlist import Netlist
 from repro.db.segment import Segment
 from repro.geometry import Rect
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.soa import SoaMirror
 
 
 class PlacementError(Exception):
@@ -50,11 +47,6 @@ class Design:
         #: Observer attached to newly created journals (fault injection /
         #: mutation counting; see :mod:`repro.testing.faults`).
         self.journal_hook = None
-        #: Struct-of-arrays mirror of the placement state, attached by
-        #: :func:`repro.core.soa.attach_soa` when the SoA kernel is in
-        #: use.  The placement primitives below (and the journal) keep it
-        #: in sync with O(1) notifications.
-        self.soa: "SoaMirror | None" = None
 
     def transaction(self) -> Transaction:
         """An atomic mutation scope: roll back on exception, else commit.
@@ -96,8 +88,6 @@ class Design:
         self.cells.append(cell)
         if self.journal is not None:
             self.journal.note_cell_added(cell, old_next, site="design.add_cell")
-        if self.soa is not None:
-            self.soa.sync_cell(cell)
         return cell
 
     def movable_cells(self) -> Iterator[Cell]:
@@ -155,8 +145,6 @@ class Design:
             seg.insert_cell(cell)
         if self.journal is not None:
             self.journal.note_place(cell, tuple(segs), site="design.place")
-        if self.soa is not None:
-            self.soa.sync_cell(cell)
 
     def unplace(self, cell: Cell) -> None:
         """Remove *cell* from the placement, deregistering it everywhere."""
@@ -173,8 +161,6 @@ class Design:
             self.journal.note_unplace(
                 cell, tuple(segs), indices, old_x, old_y, site="design.unplace"
             )
-        if self.soa is not None:
-            self.soa.sync_cell(cell)
 
     def shift_x(self, cell: Cell, new_x: int) -> None:
         """Move a placed cell horizontally without changing its row.
@@ -189,8 +175,6 @@ class Design:
         cell.x = new_x
         if self.journal is not None:
             self.journal.note_shift_x(cell, old_x, site="design.shift_x")
-        if self.soa is not None:
-            self.soa.sync_cell(cell)
 
     # ------------------------------------------------------------------
     # Occupancy queries
@@ -360,10 +344,6 @@ class Design:
         for c in self.cells:
             c.x = None
             c.y = None
-        if self.soa is not None:
-            # Bulk non-journaled rewrite: cheaper to rebuild lazily than
-            # to notify per cell.
-            self.soa.invalidate()
 
     def restore_positions(
         self, snapshot: dict[int, tuple[int, int] | None]
@@ -377,8 +357,6 @@ class Design:
                 cell.x, cell.y = pos
                 for seg in self.segments_of(cell):
                     seg.insert_cell(cell)
-        if self.soa is not None:
-            self.soa.invalidate()
 
     # ------------------------------------------------------------------
     # Aggregates

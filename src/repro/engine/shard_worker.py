@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.core.config import Kernel, LegalizerConfig
+from repro.core.config import LegalizerConfig
 from repro.core.instrumentation import MllCallRecord, MllTelemetry
 from repro.core.legalizer import (
     LegalizationError,
@@ -143,13 +143,6 @@ def build_shard_design(task: ShardTask) -> tuple[Design, list[Cell]]:
         cells.append(
             design.add_cell(master, gp_x=spec.gp_x, gp_y=spec.gp_y, name=spec.name)
         )
-    if task.config.kernel is Kernel.SOA:
-        # Attach the numpy mirror up front so every placement the shard
-        # makes — including the seeding below the legalizer — streams
-        # into it instead of forcing a rebuild per MLL call.
-        from repro.core.soa import attach_soa
-
-        attach_soa(design)
     return design, cells
 
 

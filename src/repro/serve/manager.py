@@ -21,6 +21,7 @@ from dataclasses import replace
 from repro.core.config import LegalizerConfig
 from repro.serve.errors import (
     AdmissionError,
+    ProtocolError,
     SessionExistsError,
     UnknownSessionError,
 )
@@ -157,7 +158,12 @@ class SessionManager:
         if "relaxed" in params and param_bool(params, "relaxed"):
             overrides["power_aligned"] = False
         if overrides:
-            config = replace(config, **overrides)  # type: ignore[arg-type]
+            try:
+                config = replace(config, **overrides)  # type: ignore[arg-type]
+            except ValueError as exc:
+                # The wire check is only a range guard; LegalizerConfig
+                # owns the real validation (integral, rx >= 1, ...).
+                raise ProtocolError(f"invalid session config: {exc}") from exc
         return config
 
     # ------------------------------------------------------------------

@@ -101,13 +101,27 @@ class TestInvariants:
                 d.shift_x(c, bounds.x_right(c.id))
             assert verify_placement(d, check_registration=False) == []
 
-    def test_corrupted_region_raises(self):
-        d = make_design(num_rows=1, row_width=10)
-        a = add_placed(d, 3, 1, 0, 0)
-        b = add_placed(d, 3, 1, 5, 0)
-        region = region_of(d, Rect(0, 0, 10, 1))
-        a.x = 6  # manual corruption: overlaps b and breaks the order
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "row_width, cells, victim, new_x",
+        [
+            # Overlaps its right neighbour and breaks the order.
+            pytest.param(10, [(3, 0), (3, 5)], 0, 6, id="overlap_out_of_order"),
+            # Jumps past its neighbour without reordering the segment list.
+            pytest.param(20, [(3, 0), (3, 5)], 0, 10, id="out_of_order"),
+            # Overlaps its left neighbour but keeps the order.
+            pytest.param(20, [(3, 0), (3, 5)], 1, 1, id="overlap_keeps_order"),
+            # Sticks out past the segment end.
+            pytest.param(20, [(4, 10)], 0, 18, id="past_segment_end"),
+            # Unplaced after extraction.
+            pytest.param(10, [(3, 0)], 0, None, id="unplaced"),
+        ],
+    )
+    def test_corrupted_region_raises(self, row_width, cells, victim, new_x):
+        d = make_design(num_rows=1, row_width=row_width)
+        placed = [add_placed(d, w, 1, x, 0) for w, x in cells]
+        region = region_of(d, Rect(0, 0, row_width, 1))
+        placed[victim].x = new_x  # manual corruption after extraction
+        with pytest.raises(ValueError, match="region placement is not legal"):
             compute_bounds(region)
 
 

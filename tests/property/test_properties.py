@@ -10,6 +10,8 @@ the properties assert the contracts the rest of the library depends on:
 4. Exact evaluation equals measured post-realization displacement.
 5. MLL either succeeds legally or leaves the design bit-identical.
 6. The exhaustive exact optimum equals the MILP optimum.
+7. A quarantined serial run on a possibly infeasible instance completes,
+   is deterministic, and leaves a legal partial placement.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.bench import GeneratorConfig, generate_design
 from repro.checker import verify_placement
 from repro.core import (
     EvaluationMode,
+    Legalizer,
     LegalizerConfig,
     MultiRowLocalLegalizer,
     build_insertion_intervals,
@@ -35,6 +38,7 @@ from repro.core import (
 )
 from repro.db import Rail
 from repro.geometry import Rect
+from repro.testing.faults import design_state_digest
 from tests.conftest import add_unplaced, random_legal_design
 
 SETTINGS = settings(
@@ -172,3 +176,38 @@ class TestOptimalityEquivalence:
             assert abs(min(c.cost for c in candidates) - sol.cost_um) < 1e-6
         else:
             assert sol is None
+
+
+class TestQuarantinedRun:
+    @given(params=design_params, seed=st.integers(0, 1_000))
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_deterministic_legal_partial_placement(self, params, seed):
+        def run():
+            design = build(params)
+            rng = random.Random(seed)
+            for _ in range(6):
+                w, h = rng.choice(((1, 1), (2, 1), (3, 1), (2, 2)))
+                add_unplaced(
+                    design,
+                    w,
+                    h,
+                    rng.uniform(0, params["row_width"] - w),
+                    rng.uniform(0, params["num_rows"] - h),
+                )
+            # quarantine: a randomly infeasible instance must complete
+            # (reporting its stuck cells) instead of raising
+            # LegalizationError.
+            result = Legalizer(
+                design, LegalizerConfig(seed=seed, quarantine=True)
+            ).run()
+            stuck = tuple(s.cell_id for s in result.stuck.cells)
+            return design, (result.placed, stuck, design_state_digest(design))
+
+        design, first = run()
+        _, second = run()
+        assert first == second
+        assert verify_placement(design, require_all_placed=False) == []

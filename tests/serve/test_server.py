@@ -15,6 +15,7 @@ import pytest
 
 from repro.bench import GeneratorConfig, generate_design
 from repro.core import LegalizerConfig
+from repro.io import write_bookshelf
 from repro.serve import (
     Client,
     DesignSession,
@@ -96,6 +97,28 @@ class TestBasics:
             with pytest.raises(RequestFailed) as err:
                 client.result("eco", "chipA", {"kind": "teleport"})
             assert err.value.code == "eco"
+
+    @pytest.mark.parametrize("op", ["open", "generate"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"rx": 0.5}, {"rx": 0}, {"ry": 2.5}],
+        ids=["rx_fractional", "rx_zero", "ry_fractional"],
+    )
+    def test_invalid_config_override_is_protocol_error(
+        self, server, tmp_path, op, overrides
+    ):
+        """rx/ry pass the wire range check but fail LegalizerConfig: the
+        client gets the typed protocol error and the name is released."""
+        if op == "open":
+            design = generate_design(GeneratorConfig(num_cells=10, seed=SEED))
+            params = {"aux": write_bookshelf(design, str(tmp_path / "in"))}
+        else:
+            params = {"cells": 10}
+        with server.client() as client:
+            with pytest.raises(RequestFailed) as err:
+                client.result(op, "chipA", {**params, **overrides})
+            assert err.value.code == "protocol"
+            assert client.result("sessions")["sessions"] == []
 
     def test_progress_events_stream(self, server):
         with server.client() as client:
