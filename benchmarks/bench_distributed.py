@@ -1,7 +1,8 @@
-"""Distributed-transport chaos bench: throughput under injected faults.
+"""Distributed chaos bench: throughput under injected faults.
 
-Stands up a real TCP coordinator on localhost, feeds it a deterministic
-worker-death schedule — one worker killed mid-shard, its replacement
+Stands up the shard coordinator bound to localhost with external
+``repro worker`` processes, feeds it a deterministic worker-death
+schedule — one worker killed mid-shard, its replacement
 retransmitting a result — and gates on the transport's whole contract:
 
 * the final placement is **byte-identical** to a serial (``workers=1``)
@@ -13,10 +14,11 @@ retransmitting a result — and gates on the transport's whole contract:
   measures nothing.
 
 The schedule is deterministic, not a race: a doomed worker (armed with
-``kill,shard=0``) is the only worker alive for the first steal, so the
+``crash,shard=0``) is the only worker alive for the first steal, so the
 mid-shard death always happens; its relief worker (armed with
 ``dup,shard=1``) is spawned only after the corpse is reaped, so the
-requeue and the duplicate delivery always happen too.
+requeue and the duplicate delivery always happen too (the duplicate
+precedes the relief worker's next steal on the same connection).
 
 Appends wall-clock and recovery counters to ``BENCH_distributed.json``
 via :mod:`benchmarks.trajectory` so the CI ``distributed`` job grows a
@@ -54,7 +56,7 @@ from repro.engine import (
     legalize_sharded,
     spawn_worker_process,
 )
-from repro.testing import NetFaultSpec, design_state_digest
+from repro.testing import ShardFaultSpec, design_state_digest
 
 DEFAULT_CELLS = 5000
 
@@ -86,29 +88,28 @@ def run_chaos(
     # -- distributed run under a deterministic fault schedule ----------
     engine = EngineConfig(
         workers=2, shards=shards, serial_threshold=0,
-        transport="tcp", bind_host="127.0.0.1", bind_port=0,
         lease_ttl_s=2.0, heartbeat_interval_s=0.2,
         worker_wait_s=60.0, drain_grace_s=5.0,
         backoff_base_s=0.01, backoff_max_s=0.05,
     )
-    transport = TcpTransport(engine)
+    transport = TcpTransport(engine, bind=("127.0.0.1", 0))
 
-    def worker(name: str, fault: NetFaultSpec | None):
+    def worker(name: str, fault: ShardFaultSpec | None):
         return spawn_worker_process(
             WorkerConfig(
                 host=transport.host, port=transport.port, name=name,
                 connect_retries=10, connect_backoff_s=0.05,
-                netfault=fault,
+                fault=fault,
             )
         )
 
-    doomed = worker("doomed", NetFaultSpec(shard_id=0, mode="kill"))
+    doomed = worker("doomed", ShardFaultSpec(shard_id=0, mode="crash"))
     relief_holder: list[object] = []
 
     def send_relief() -> None:
         doomed.join(timeout=60)
         relief_holder.append(
-            worker("relief", NetFaultSpec(shard_id=1, mode="dup"))
+            worker("relief", ShardFaultSpec(shard_id=1, mode="dup"))
         )
 
     spawner = threading.Thread(target=send_relief, daemon=True)
@@ -132,12 +133,12 @@ def run_chaos(
         "digest_match": digest == reference_digest,
         "checker_violations": len(violations),
         "quarantined_cells": len(result.stuck.cells),
-        "remote_workers": report.remote_workers,
+        "workers_joined": report.workers_joined,
         "crashes": report.crashes,
         "duplicate_results": report.duplicate_results,
         "lease_expiries": report.lease_expiries,
         "retries": report.retries,
-        "remote_fallbacks": report.remote_fallbacks,
+        "degraded": result.degraded,
     }
     return metrics
 
@@ -157,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
 
     params = {
         "cells": args.cells, "shards": args.shards, "seed": args.seed,
-        "schedule": "kill(shard=0) then relief with dup(shard=1)",
+        "schedule": "crash(shard=0) then relief with dup(shard=1)",
     }
     metrics = run_chaos(args.cells, args.shards, args.seed)
     print(json.dumps({"params": params, "metrics": metrics}, indent=2))
@@ -173,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
     if metrics["quarantined_cells"]:
         failures.append(f"{metrics['quarantined_cells']} cells quarantined")
     if int(str(metrics["crashes"])) < 1:
-        failures.append("kill fault never fired (crashes=0)")
+        failures.append("crash fault never fired (crashes=0)")
     if int(str(metrics["duplicate_results"])) < 1:
         failures.append("dup fault never fired (duplicate_results=0)")
     for failure in failures:

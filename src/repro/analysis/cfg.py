@@ -11,8 +11,6 @@ handle is closed on every path".  This module adds the missing layer:
   ``raise``, ``assert`` or ``await`` may transfer control to the
   innermost handler, the pending ``finally``, or the synthetic
   exceptional exit).
-* dominators and post-dominators (iterative set intersection), back
-  edges and natural loops on top of them.
 * a generic forward/backward worklist dataflow solver the flow rules
   (RL12 taint, RL13 typestate) instantiate.
 
@@ -148,8 +146,6 @@ class CFG:
         self.raise_exit: int = self.new_block()
         """Synthetic exceptional exit (uncaught exceptions)."""
 
-        self._doms: dict[int, frozenset[int]] | None = None
-
     # ------------------------------------------------------------------
     def new_block(self) -> int:
         bid = len(self.blocks)
@@ -163,7 +159,6 @@ class CFG:
             return
         self._succs[src].append((dst, kind))
         self._preds[dst].append((src, kind))
-        self._doms = None
 
     def successors(self, bid: int) -> list[tuple[int, str]]:
         return list(self._succs[bid])
@@ -192,97 +187,6 @@ class CFG:
             seen.append(bid)
             queue.extend(s for s, _ in self._succs[bid])
         return seen
-
-    def dominators(self) -> dict[int, frozenset[int]]:
-        """``block → blocks dominating it`` over the reachable graph
-        (every block dominates itself; unreachable blocks are absent)."""
-        if self._doms is not None:
-            return self._doms
-        order = self.reachable()
-        universe = frozenset(order)
-        doms: dict[int, frozenset[int]] = {
-            bid: universe for bid in order
-        }
-        doms[self.entry] = frozenset({self.entry})
-        changed = True
-        while changed:
-            changed = False
-            for bid in order:
-                if bid == self.entry:
-                    continue
-                preds = [
-                    p for p, _ in self._preds[bid] if p in doms
-                ]
-                if preds:
-                    new = frozenset({bid}).union(
-                        frozenset.intersection(*(doms[p] for p in preds))
-                    )
-                else:  # pragma: no cover - entry is the only orphan
-                    new = frozenset({bid})
-                if new != doms[bid]:
-                    doms[bid] = new
-                    changed = True
-        self._doms = doms
-        return doms
-
-    def postdominators(self) -> dict[int, frozenset[int]]:
-        """``block → blocks post-dominating it``, with both exits as
-        roots (a block reaching both exits keeps their intersection)."""
-        order = self.reachable()
-        universe = frozenset(order)
-        pdoms: dict[int, frozenset[int]] = {bid: universe for bid in order}
-        for root in (self.exit, self.raise_exit):
-            if root in pdoms:
-                pdoms[root] = frozenset({root})
-        changed = True
-        while changed:
-            changed = False
-            for bid in order:
-                if bid in (self.exit, self.raise_exit):
-                    continue
-                succs = [s for s, _ in self._succs[bid] if s in pdoms]
-                if succs:
-                    new = frozenset({bid}).union(
-                        frozenset.intersection(*(pdoms[s] for s in succs))
-                    )
-                else:
-                    new = frozenset({bid})
-                if new != pdoms[bid]:
-                    pdoms[bid] = new
-                    changed = True
-        return pdoms
-
-    def dominates(self, a: int, b: int) -> bool:
-        return a in self.dominators().get(b, frozenset())
-
-    def back_edges(self) -> list[tuple[int, int]]:
-        """Edges ``u → h`` where ``h`` dominates ``u`` (loop closes)."""
-        doms = self.dominators()
-        out: list[tuple[int, int]] = []
-        for src in sorted(self._succs):
-            for dst, _kind in self._succs[src]:
-                if dst in doms.get(src, frozenset()):
-                    out.append((src, dst))
-        return out
-
-    def natural_loops(self) -> list[tuple[int, frozenset[int]]]:
-        """``(header, body-block-set)`` per back edge, header included."""
-        loops: list[tuple[int, frozenset[int]]] = []
-        for tail, header in self.back_edges():
-            body: set[int] = {header, tail}
-            stack = [tail]
-            while stack:
-                bid = stack.pop()
-                for pred, _kind in self._preds[bid]:
-                    if pred not in body:
-                        body.add(pred)
-                        stack.append(pred)
-            loops.append((header, frozenset(body)))
-        return loops
-
-    def loop_depth(self, bid: int) -> int:
-        """How many natural loops contain *bid*."""
-        return sum(1 for _h, body in self.natural_loops() if bid in body)
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """RL4 — exception taxonomy.
 
 ``engine/errors.py`` (PR 3) gives every engine failure mode a class so
-callers — the CLI, the supervisor's degradation ladder, tests — react
+callers — the CLI, the coordinator's degradation ladder, tests — react
 to *categories* instead of string-matching messages.  Raising a generic
 ``Exception`` / ``RuntimeError`` in ``engine/`` silently escapes that
-contract (a supervisor that retries on ``EngineError`` will crash on
+contract (a caller that retries on ``EngineError`` will crash on
 it), and a new exception class defined outside the taxonomy fragments
 it.  Two checks, both scoped to ``engine/``:
 

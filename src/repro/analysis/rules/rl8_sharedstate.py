@@ -8,7 +8,7 @@ each worker re-imports the module and starts empty.  Either way a
 parent — the precise failure mode that corrupts seam reconciliation,
 whose merge step assumes every shard computed against the same view.
 Writes racing within one process (threads) or between a worker and the
-supervisor's retry logic compound the hazard.
+coordinator's retry logic compound the hazard.
 
 The rule collects every spawn payload (``run_shard`` handed to
 ``pool.map``, ``_shard_child`` handed to ``Process(target=...)``),

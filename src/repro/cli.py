@@ -7,7 +7,7 @@ Subcommands::
                     milp|abacus|tetris] [--relaxed] [--exact]
                     [--workers N] [--shards M] [--halo SITES]
                     [--shard-timeout S] [--shard-retries N] [--quarantine]
-                    [--checkpoint PATH | --resume PATH]
+                    [--bind HOST:PORT] [--checkpoint PATH | --resume PATH]
     repro check     DIR/design.aux [--relaxed]                # verify only
     repro show      DIR/design.aux [--svg out.svg] [--window X Y W H]
     repro stats     DIR/design.aux                            # metrics
@@ -22,19 +22,17 @@ Subcommands::
 
 Also available as ``python -m repro ...``.
 
-Fault tolerance: ``--workers N`` runs execute under the shard
-supervisor (crash containment, per-shard timeouts, retry with backoff
-— see ``docs/parallel_engine.md``).  ``--checkpoint PATH`` makes the
-run resumable after a kill (``--resume PATH``); SIGINT/SIGTERM flush a
-final checkpoint and print a resume hint instead of a traceback.
-
-Distributed runs: ``repro legalize --transport tcp --bind HOST:PORT``
-turns the run into a coordinator serving its shard queue to ``repro
-worker --connect HOST:PORT`` processes on other hosts (leases,
-heartbeats, work stealing — see the "Distributed transport" section of
-``docs/parallel_engine.md``).  On SIGTERM the coordinator drains:
-in-flight leases get ``--drain-grace`` seconds to land in the
-checkpoint before the resume hint prints.
+Parallel runs: ``repro legalize --workers N`` (N > 1) runs its shards
+through the shard coordinator, which forks N local ``repro worker``
+processes and serves them its shard queue over loopback TCP (leases,
+heartbeats, crash and timeout retry with backoff — see
+``docs/parallel_engine.md``).  ``--bind HOST:PORT`` forks no workers
+and serves ``repro worker --connect HOST:PORT`` processes on this or
+other hosts instead.  ``--checkpoint PATH`` makes the run resumable
+after a kill (``--resume PATH``); SIGINT/SIGTERM drain the coordinator
+(in-flight leases get ``--drain-grace`` seconds to land in the
+checkpoint), flush a final checkpoint and print a resume hint instead
+of a traceback.
 """
 
 from __future__ import annotations
@@ -116,9 +114,10 @@ class GracefulShutdown(Exception):
     """SIGINT/SIGTERM turned into a catchable exception.
 
     Raising from the handler unwinds through the engine (whose
-    transactions roll back and whose supervisor reaps its workers in
-    ``finally`` blocks), so the CLI can flush a final checkpoint and
-    print a resume hint instead of dying with a bare traceback.
+    transactions roll back and whose coordinator drains and reaps its
+    workers in ``finally`` blocks), so the CLI can flush a final
+    checkpoint and print a resume hint instead of dying with a bare
+    traceback.
     """
 
     def __init__(self, signum: int) -> None:
@@ -212,41 +211,42 @@ def _cmd_legalize(args: argparse.Namespace) -> int:
         if args.algorithm == "mll" and (args.workers != 1 or args.shards):
             from repro.engine import EngineConfig, legalize_sharded
 
-            bind_host, bind_port = _parse_hostport(args.bind)
             engine_config = EngineConfig(
                 workers=args.workers,
                 shards=args.shards,
                 halo_sites=args.halo,
                 serial_threshold=args.serial_threshold,
-                supervise=not args.no_supervise,
                 shard_timeout_s=args.shard_timeout,
                 max_shard_retries=args.shard_retries,
-                transport=args.transport,
-                bind_host=bind_host,
-                bind_port=bind_port,
                 lease_ttl_s=args.lease_ttl,
                 heartbeat_interval_s=args.heartbeat_interval,
                 worker_wait_s=args.worker_wait,
                 drain_grace_s=args.drain_grace,
             )
             transport = None
-            if args.transport == "tcp":
+            if args.bind is not None:
                 from repro.engine import TcpTransport
 
-                transport = TcpTransport(engine_config)
+                transport = TcpTransport(
+                    engine_config, bind=_parse_hostport(args.bind)
+                )
                 print(
                     f"coordinator listening on "
                     f"{transport.host}:{transport.port} "
                     f"(workers connect with: repro worker --connect "
                     f"{transport.host}:{transport.port})"
                 )
-            engine_result = legalize_sharded(
-                design,
-                config,
-                engine_config,
-                checkpoint=manager,
-                transport=transport,
-            )
+            try:
+                engine_result = legalize_sharded(
+                    design,
+                    config,
+                    engine_config,
+                    checkpoint=manager,
+                    transport=transport,
+                )
+            finally:
+                if transport is not None:
+                    transport.close()  # a sequential run never served
             quarantined = engine_result.stuck
             supervision = engine_result.supervision
             if supervision is not None and (
@@ -256,18 +256,17 @@ def _cmd_legalize(args: argparse.Namespace) -> int:
             if engine_result.parallel:
                 seam = engine_result.seam
                 print(
-                    f"engine: transport={engine_result.transport} "
-                    f"shards={engine_result.num_shards} "
+                    f"engine: shards={engine_result.num_shards} "
                     f"workers={engine_result.workers} "
                     f"halo={engine_result.halo_sites} "
                     f"seam_cells={seam.seam_cells} "
                     f"(conflicts {seam.conflicts}, shard_failures "
                     f"{seam.shard_failures}, deferred {seam.deferred})"
                 )
-            elif engine_result.degraded:
+            elif engine_result.degraded and supervision is not None:
                 print(
-                    "engine: DEGRADED to the sequential path (shards "
-                    "failed every supervision rung)"
+                    f"engine: DEGRADED to the sequential path "
+                    f"({supervision.fallback_reason})"
                 )
             else:
                 print("engine: sequential fallback (below serial threshold)")
@@ -526,19 +525,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "worker exceeding it is killed and the shard "
                         "retried (default: no timeout)")
     p.add_argument("--shard-retries", type=int, default=2,
-                   help="worker-pool retries per shard before the "
-                        "supervisor escalates to an in-process re-run")
-    p.add_argument("--no-supervise", action="store_true",
-                   help="bypass the shard supervisor: bare worker pool, "
-                        "no timeouts/retries, crash aborts the run")
-    p.add_argument("--transport", choices=["local", "tcp"],
-                   default="local",
-                   help="where shards execute: the in-host pool "
-                        "(default) or remote `repro worker` processes "
-                        "over TCP (this run becomes the coordinator)")
-    p.add_argument("--bind", default="127.0.0.1:0", metavar="HOST:PORT",
-                   help="coordinator listen address for --transport "
-                        "tcp (port 0 = ephemeral, printed on startup)")
+                   help="retries per shard before the run falls back "
+                        "to the sequential path")
+    p.add_argument("--bind", default=None, metavar="HOST:PORT",
+                   help="serve the shard queue on this address to "
+                        "external `repro worker` processes instead of "
+                        "forking local workers (port 0 = ephemeral, "
+                        "printed on startup)")
     p.add_argument("--lease-ttl", type=float, default=30.0, metavar="S",
                    help="per-shard lease: a worker must deliver or "
                         "heartbeat within this window or its shard is "
@@ -550,12 +543,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "worker-side knob needed)")
     p.add_argument("--worker-wait", type=float, default=30.0,
                    metavar="S",
-                   help="how long the coordinator waits for the first "
-                        "worker before degrading to the local pool")
+                   help="how long queued shards may wait with no "
+                        "worker connected before the run falls back to "
+                        "the sequential path")
     p.add_argument("--drain-grace", type=float, default=5.0,
                    metavar="S",
-                   help="on SIGTERM, how long in-flight leases may "
-                        "still deliver into the checkpoint")
+                   help="on SIGINT/SIGTERM, how long in-flight leases "
+                        "may still deliver into the checkpoint")
     p.add_argument("--quarantine", action="store_true",
                    help="complete with partial legality when cells "
                         "exhaust the retry budget (reported in a "
@@ -662,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "worker",
-        help="serve shards to a `repro legalize --transport tcp` "
+        help="serve shards to a `repro legalize --bind HOST:PORT` "
              "coordinator: connect, steal tasks, heartbeat while "
              "computing, exit when drained — add one per spare host",
     )

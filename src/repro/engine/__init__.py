@@ -5,8 +5,9 @@ inside a window of ``(2Rx + w_t) x (2Ry + h_t)`` around the target
 position (paper Section 3) — so MLL calls whose windows do not overlap
 commute.  This package exploits that: it tiles the floorplan into
 vertical-stripe *shards* with a halo (:mod:`repro.engine.partition`),
-legalizes every shard with the unmodified sequential legalizer inside a
-process pool (:mod:`repro.engine.shard_worker`,
+legalizes every shard with the unmodified sequential legalizer on a
+fleet of worker processes fed by a shard coordinator
+(:mod:`repro.engine.shard_worker`, :mod:`repro.engine.remote`,
 :mod:`repro.engine.executor`), and merges the per-shard deltas back,
 resolving the (rare) cross-seam conflicts with one final sequential MLL
 pass (:mod:`repro.engine.reconcile`).
@@ -30,26 +31,28 @@ from repro.engine.errors import (
     EngineError,
     RemoteProtocolError,
     ResumeMismatchError,
-    ShardAttemptError,
     ShardRetriesExhaustedError,
-    ShardTimeoutError,
     TransportError,
-    WorkerCrashError,
     WorkerUnavailableError,
 )
 from repro.engine.executor import EngineResult, ShardedLegalizer, legalize_sharded
 from repro.engine.partition import Partition, Shard, partition_design
-from repro.engine.remote import (
-    TcpTransport,
-    WorkerConfig,
-    run_worker,
-    spawn_worker_process,
-)
 from repro.engine.reconcile import (
     ReconcileError,
     SeamReport,
     apply_shard_outcomes,
     reconcile,
+)
+from repro.engine.remote import (
+    ShardAttempt,
+    SupervisionReport,
+    TcpTransport,
+    TransportResult,
+    WorkerConfig,
+    backoff_delay_s,
+    make_transport,
+    run_worker,
+    spawn_worker_process,
 )
 from repro.engine.shard_worker import (
     ShardCellSpec,
@@ -59,19 +62,6 @@ from repro.engine.shard_worker import (
     run_shard,
     shard_seed,
 )
-from repro.engine.supervisor import (
-    ShardAttempt,
-    ShardSupervisor,
-    SupervisionReport,
-    backoff_delay_s,
-)
-from repro.engine.transport import (
-    LocalTransport,
-    ShardTransport,
-    TransportResult,
-    make_transport,
-)
-
 __all__ = [
     "CheckpointError",
     "CheckpointManager",
@@ -79,7 +69,6 @@ __all__ = [
     "EngineConfig",
     "EngineError",
     "EngineResult",
-    "LocalTransport",
     "Partition",
     "ReconcileError",
     "RemoteProtocolError",
@@ -87,21 +76,16 @@ __all__ = [
     "SeamReport",
     "Shard",
     "ShardAttempt",
-    "ShardAttemptError",
     "ShardCellSpec",
     "ShardOutcome",
     "ShardRetriesExhaustedError",
-    "ShardSupervisor",
     "ShardTask",
-    "ShardTimeoutError",
-    "ShardTransport",
     "ShardedLegalizer",
     "SupervisionReport",
     "TcpTransport",
     "TransportError",
     "TransportResult",
     "WorkerConfig",
-    "WorkerCrashError",
     "WorkerUnavailableError",
     "apply_shard_outcomes",
     "backoff_delay_s",

@@ -234,7 +234,7 @@ class CheckpointManager:
     flush cadence (*every* completed shards per write; 1 = every
     shard).  The executor calls :meth:`open` once the partition — and
     hence the fingerprint — is known, feeds :meth:`record` from the
-    supervisor's ``on_outcome`` hook, and :meth:`flush`es a final time
+    coordinator's ``on_outcome`` hook, and :meth:`flush`es a final time
     when the shard phase ends (or when a signal handler needs a last
     snapshot before dying).
 

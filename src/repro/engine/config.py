@@ -3,8 +3,8 @@
 :class:`EngineConfig` complements :class:`~repro.core.config.LegalizerConfig`:
 the legalizer config describes *what* Algorithm 1 / MLL do, the engine
 config describes *how the work is split and executed* — shard count,
-worker pool size, halo width, and when to fall back to the plain
-sequential path.
+worker count, halo width, the coordinator's retry and lease policy, and
+when to fall back to the plain sequential path.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ class EngineConfig:
 
     workers: int = 1
     """Worker processes.  ``1`` executes shards serially in-process (the
-    sharded code path is still exercised when ``shards > 1``); ``0``
-    means "one per available CPU"."""
+    sharded code path is still exercised when ``shards > 1``); more
+    runs them through the shard coordinator with that many local
+    ``repro worker`` processes; ``0`` means "one per available CPU"."""
 
     shards: int | None = None
     """Vertical-stripe shard count.  ``None`` derives it from
@@ -61,26 +62,24 @@ class EngineConfig:
     :class:`~repro.engine.reconcile.ReconcileError` on any violation, so
     the engine's contract is *exactly* the sequential path's."""
 
-    # -- supervision (fault tolerance of the worker fleet) -------------
-    supervise: bool = True
-    """Run worker shards under the :class:`~repro.engine.supervisor.
-    ShardSupervisor` (timeouts, crash containment, retry with backoff,
-    the degradation ladder).  ``False`` restores the bare
-    ``ProcessPoolExecutor`` fan-out, where one worker crash surfaces as
-    :class:`~repro.engine.errors.WorkerCrashError` (wrapping
-    ``BrokenProcessPool``) and aborts the run."""
-
+    # -- the coordinator (fault tolerance of the worker fleet) ---------
     shard_timeout_s: float | None = None
-    """Per-attempt wall-clock budget of one shard, measured from worker
-    dispatch.  On expiry the worker process is terminated and the shard
-    retried (:class:`~repro.engine.errors.ShardTimeoutError` in the
-    supervision report).  ``None`` (default) disables timeouts."""
+    """Hard wall-clock budget of one shard attempt, measured from the
+    lease grant; heartbeats do not extend it.  On expiry the
+    coordinator kills the local worker holding the lease (or drops the
+    connection of an external one) and retries the shard (a
+    ``"timeout"`` :class:`~repro.engine.remote.ShardAttempt` in
+    ``SupervisionReport.attempts``).  ``None`` (default) disables it."""
 
     max_shard_retries: int = 2
-    """Worker-pool retries per shard after its first attempt, before
-    the supervisor escalates to the in-process rung of the degradation
-    ladder.  Retried attempts reuse the shard's derived seed, so any
-    successful attempt is byte-identical."""
+    """Retries per shard after its first attempt.  A shard that fails
+    them all ends the sharded plan (see :attr:`serial_fallback`).
+    Retried attempts reuse the shard's derived seed, so any successful
+    attempt is byte-identical.  The local fleet is not replenished: a
+    crash, a dropped link or a hard-deadline kill ends that local
+    worker, so the fleet survives at most ``workers - 1`` such failures
+    before the run falls back (lease expiries and shipped errors leave
+    the worker alive)."""
 
     backoff_base_s: float = 0.25
     """First retry delay; attempt *k* waits ``backoff_base_s *
@@ -98,27 +97,13 @@ class EngineConfig:
     so retries do not stampede in lockstep).  ``0`` disables jitter."""
 
     serial_fallback: bool = True
-    """Last rung of the degradation ladder: when a shard fails even the
-    in-process re-run, abandon the sharded plan and legalize the whole
-    design with the plain sequential driver (correct by construction,
-    just not parallel).  ``False`` raises
-    :class:`~repro.engine.errors.ShardRetriesExhaustedError` instead."""
-
-    # -- distributed transport (multi-host shard execution) -------------
-    transport: str = "local"
-    """Where shards execute: ``"local"`` (the in-host pool/supervisor,
-    default, zero behavior change) or ``"tcp"`` (a coordinator serving
-    a work-stealing shard queue to remote ``repro worker`` processes —
-    see :mod:`repro.engine.remote`)."""
-
-    bind_host: str = "127.0.0.1"
-    """Coordinator listen address for ``transport="tcp"``.  Bind to a
-    routable interface (e.g. ``0.0.0.0``) only on trusted networks —
-    shard payloads are pickles."""
-
-    bind_port: int = 0
-    """Coordinator listen port; ``0`` picks an ephemeral port (exposed
-    on ``TcpTransport.port`` once bound)."""
+    """Second and last rung of the degradation ladder: when a shard
+    fails every retry, or no worker is left to run the queue, abandon
+    the sharded plan and legalize the whole design with the plain
+    sequential driver (correct by construction, just not parallel).
+    ``False`` raises
+    :class:`~repro.engine.errors.ShardRetriesExhaustedError` /
+    :class:`~repro.engine.errors.WorkerUnavailableError` instead."""
 
     lease_ttl_s: float = 30.0
     """Per-shard lease: a dispatched shard must deliver its outcome or
@@ -132,22 +117,14 @@ class EngineConfig:
     must be smaller than :attr:`lease_ttl_s`."""
 
     worker_wait_s: float = 30.0
-    """How long the coordinator waits for the *first* remote worker to
-    join before degrading the whole plan to the local transport (rung 2
-    of the remote ladder)."""
+    """How long work may sit queued with no worker connected before
+    the run takes the last ladder rung.  A local fleet that has died
+    out entirely takes it at once."""
 
     drain_grace_s: float = 5.0
     """On coordinator shutdown (SIGTERM or run teardown) with leases
     still in flight, how long to keep accepting results so a final
     checkpoint captures every shard that was about to land."""
-
-    remote_fallback: bool = True
-    """Remote rung of the degradation ladder: when no worker joins, or
-    a shard exhausts its remote retries, hand the remaining shards to
-    the local supervisor pool (then in-process, then serial — the
-    existing ladder).  ``False`` raises
-    :class:`~repro.engine.errors.WorkerUnavailableError` /
-    :class:`~repro.engine.errors.ShardRetriesExhaustedError` instead."""
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -168,13 +145,6 @@ class EngineConfig:
             raise ValueError("backoff delays must be >= 0")
         if self.backoff_jitter < 0:
             raise ValueError("backoff_jitter must be >= 0")
-        if self.transport not in ("local", "tcp"):
-            raise ValueError(
-                f"unknown transport {self.transport!r} "
-                f"(expected 'local' or 'tcp')"
-            )
-        if self.bind_port < 0 or self.bind_port > 65535:
-            raise ValueError("bind_port must be in [0, 65535]")
         if self.lease_ttl_s <= 0:
             raise ValueError("lease_ttl_s must be positive")
         if self.heartbeat_interval_s <= 0:

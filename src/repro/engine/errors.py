@@ -1,42 +1,28 @@
 """Structured failure taxonomy of the parallel engine.
 
-Every way a supervised engine run can fail maps to one exception class
-here, so callers (the CLI, the supervisor's degradation ladder, tests)
-can react to *categories* instead of string-matching messages:
+Every way an engine run can fail maps to one exception class here, so
+callers (the CLI, tests) can react to *categories* instead of
+string-matching messages.  Failures of single shard attempts (a worker
+crash, a timeout, a shard that raised) are not exceptions: the
+coordinator contains them, retries the shard and records each attempt
+in its :class:`~repro.engine.remote.SupervisionReport`.
 
 ``EngineError``
     root of the taxonomy; carries the shard id where applicable.
 
-``WorkerCrashError``
-    a worker process died without delivering its outcome — the
-    supervised analogue of :class:`concurrent.futures.process.
-    BrokenProcessPool`.  With a bare ``ProcessPoolExecutor`` one
-    OOM-killed worker poisons the whole pool and every in-flight
-    future; the supervisor instead contains the crash to its shard,
-    records the exit code / signal, and retries.
-
-``ShardTimeoutError``
-    a shard exceeded its per-attempt wall-clock budget
-    (``EngineConfig.shard_timeout_s``) and was terminated.
-
-``ShardAttemptError``
-    the worker ran but raised an unexpected exception (anything other
-    than the retry-budget exhaustion ``run_shard`` absorbs); the
-    remote traceback is carried in ``detail``.
-
 ``ShardRetriesExhaustedError``
-    every rung of the degradation ladder failed for one shard; raised
-    by the supervisor only when the whole-design serial fallback is
-    disabled (``EngineConfig.serial_fallback=False``).
+    a shard failed every retry; raised only when the whole-design
+    serial fallback is disabled (``EngineConfig.serial_fallback=False``).
 
 ``CheckpointError`` / ``ResumeMismatchError``
     a checkpoint file is unreadable / belongs to a different run
     (design, config, or partition fingerprint differs).
 
 ``TransportError`` / ``RemoteProtocolError`` / ``WorkerUnavailableError``
-    the distributed shard transport failed: a malformed or
-    version-mismatched wire message, or no remote worker showed up
-    within the configured wait (and local fallback was disabled).
+    the shard coordinator failed: a drain stopped it with shards
+    outstanding, a wire message was malformed or version-mismatched,
+    or no worker was left to run the queue (and the serial fallback
+    was disabled).
 
 All classes are picklable (they reduce to their constructor args), so
 they can cross the process boundary intact.
@@ -64,64 +50,11 @@ class EngineError(Exception):
         return (type(self), (self.args[0], self.shard_id))
 
 
-class WorkerCrashError(EngineError):
-    """A worker process died before delivering its shard outcome.
-
-    ``exitcode`` follows :attr:`multiprocessing.Process.exitcode`
-    conventions: ``>= 0`` is an exit status (e.g. ``os._exit(13)``),
-    ``< 0`` means the process was killed by signal ``-exitcode``
-    (``-9`` = SIGKILL, the classic OOM-killer signature).
-    """
-
-    def __init__(
-        self, message: str, shard_id: int | None = None,
-        exitcode: int | None = None,
-    ) -> None:
-        super().__init__(message, shard_id)
-        self.exitcode = exitcode
-
-    def __reduce__(
-        self,
-    ) -> tuple[type["WorkerCrashError"], tuple[str, int | None, int | None]]:
-        return (type(self), (self.args[0], self.shard_id, self.exitcode))
-
-
-class ShardTimeoutError(EngineError):
-    """A shard attempt exceeded its wall-clock budget and was killed."""
-
-    def __init__(
-        self, message: str, shard_id: int | None = None,
-        timeout_s: float | None = None,
-    ) -> None:
-        super().__init__(message, shard_id)
-        self.timeout_s = timeout_s
-
-    def __reduce__(
-        self,
-    ) -> tuple[type["ShardTimeoutError"], tuple[str, int | None, float | None]]:
-        return (type(self), (self.args[0], self.shard_id, self.timeout_s))
-
-
-class ShardAttemptError(EngineError):
-    """A worker ran but raised; ``detail`` carries the remote traceback."""
-
-    def __init__(
-        self, message: str, shard_id: int | None = None, detail: str = "",
-    ) -> None:
-        super().__init__(message, shard_id)
-        self.detail = detail
-
-    def __reduce__(
-        self,
-    ) -> tuple[type["ShardAttemptError"], tuple[str, int | None, str]]:
-        return (type(self), (self.args[0], self.shard_id, self.detail))
-
-
 class ShardRetriesExhaustedError(EngineError):
-    """Every degradation-ladder rung failed for one shard.
+    """A shard failed every retry.
 
     Only surfaces when ``EngineConfig.serial_fallback`` is off;
-    otherwise the supervisor reports the exhaustion and the executor
+    otherwise the coordinator reports the exhaustion and the executor
     degrades to the whole-design sequential path instead of raising.
     """
 
@@ -142,11 +75,11 @@ class ResumeMismatchError(CheckpointError):
 
 
 class TransportError(EngineError):
-    """Root of the distributed shard-transport failures.
+    """Root of the shard-coordinator failures.
 
     Raised for coordinator-side faults that are not attributable to a
     single shard attempt (those are contained, retried and recorded in
-    the :class:`~repro.engine.supervisor.SupervisionReport` instead).
+    the :class:`~repro.engine.remote.SupervisionReport` instead).
     """
 
 
@@ -160,10 +93,10 @@ class RemoteProtocolError(TransportError):
 
 
 class WorkerUnavailableError(TransportError):
-    """No remote worker joined within ``EngineConfig.worker_wait_s``.
+    """Shards were queued but no worker was left to run them.
 
-    Only surfaces when the local rungs of the degradation ladder are
-    disabled (``EngineConfig.remote_fallback=False``); otherwise the
-    transport degrades to the local supervisor pool and records the
-    fallback in the supervision report.
+    Either no worker joined within ``EngineConfig.worker_wait_s``, or
+    the coordinator's local fleet died out.  Only surfaces when
+    ``EngineConfig.serial_fallback`` is off; otherwise the executor
+    degrades to the whole-design sequential path.
     """

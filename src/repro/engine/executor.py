@@ -1,18 +1,16 @@
-"""The shard executor: fan shards out to a supervised pool and merge back.
+"""The shard executor: fan shards out and merge them back.
 
 ``ShardedLegalizer`` is the parallel counterpart of
 :class:`~repro.core.legalizer.Legalizer`:
 
 1. partition the floorplan into halo shards
    (:mod:`repro.engine.partition`);
-2. legalize every shard with the unmodified sequential legalizer,
-   dispatched through a :class:`~repro.engine.transport.ShardTransport`
-   — the local pool under the :class:`~repro.engine.supervisor.
-   ShardSupervisor` (``workers > 1``: per-shard timeouts, crash
-   containment, bounded retry with backoff, the degradation ladder),
-   in-process (``workers=1``, still exercising the sharded path when
-   ``shards > 1``), or remote ``repro worker`` hosts over TCP
-   (:mod:`repro.engine.remote`: leases, heartbeats, work stealing);
+2. legalize every shard with the unmodified sequential legalizer —
+   in-process for ``workers=1`` (still exercising the sharded path
+   when ``shards > 1``), otherwise through the shard coordinator
+   (:mod:`repro.engine.remote`: leases, heartbeats, retry with
+   backoff, work stealing) and its local or external ``repro worker``
+   fleet;
 3. reconcile the seams (:mod:`repro.engine.reconcile`) so the merged
    placement passes the independent checker exactly like a sequential
    run.
@@ -51,13 +49,20 @@ from repro.engine.checkpoint import CheckpointManager
 from repro.engine.config import EngineConfig
 from repro.engine.partition import Partition, Shard, partition_design
 from repro.engine.reconcile import SeamReport, reconcile
-from repro.engine.supervisor import SupervisionReport
+from repro.engine.remote import (
+    OutcomeHook,
+    SupervisionReport,
+    TcpTransport,
+    TransportResult,
+    make_transport,
+)
 from repro.engine.shard_worker import (
     ShardCellSpec,
+    ShardOutcome,
     ShardTask,
+    run_shard,
     shard_seed,
 )
-from repro.engine.transport import ShardTransport, make_transport
 from repro.testing.faults import ShardFaultSpec
 
 
@@ -78,8 +83,8 @@ class EngineResult:
     """False when the run fell back to the plain sequential path."""
 
     degraded: bool = False
-    """True when the sequential path was reached through the
-    supervisor's last ladder rung (shards failed every retry), as
+    """True when the sequential path was reached through the ladder's
+    last rung (a shard failed every retry, or no worker was left), as
     opposed to the size-based serial threshold."""
 
     seam: SeamReport = field(default_factory=SeamReport)
@@ -87,14 +92,9 @@ class EngineResult:
     """Per-shard statistics in shard-id order (empty on fallback)."""
 
     supervision: SupervisionReport | None = None
-    """What the supervisor saw (``None`` on unsupervised / sequential
-    runs): attempts, crashes, timeouts, retries, escalations — plus
-    lease expiries, duplicate deliveries and worker counts on the TCP
-    transport."""
-
-    transport: str = "local"
-    """Which :class:`~repro.engine.transport.ShardTransport` ran the
-    shards (``"local"`` on sequential/fallback paths too)."""
+    """What the coordinator saw (``None`` on in-process and sequential
+    runs): attempts, crashes, timeouts, retries, lease expiries,
+    duplicate deliveries and the workers that joined."""
 
     wall_time_s: float = 0.0
     """End-to-end wall-clock of the engine run (partition + workers +
@@ -124,10 +124,10 @@ class ShardedLegalizer:
         :class:`~repro.testing.faults.ShardFaultSpec` chaos hook,
         attached to the matching shard's task (tests / chaos drills).
     ``transport``
-        a pre-built :class:`~repro.engine.transport.ShardTransport`
-        (e.g. a :class:`~repro.engine.remote.TcpTransport` whose port
-        the caller advertised to workers); ``None`` builds one from
-        ``engine.transport``.
+        a pre-built :class:`~repro.engine.remote.TcpTransport` (e.g.
+        one bound to an address the caller advertised to external
+        workers); ``None`` runs ``workers=1`` in-process and builds a
+        coordinator with a local fleet otherwise.
     """
 
     def __init__(
@@ -142,7 +142,7 @@ class ShardedLegalizer:
         self.telemetry: MllTelemetry | None = None
         self.checkpoint: CheckpointManager | None = None
         self.fault: ShardFaultSpec | None = None
-        self.transport: ShardTransport | None = None
+        self.transport: TcpTransport | None = None
 
     # ------------------------------------------------------------------
     def run(self) -> EngineResult:
@@ -164,7 +164,7 @@ class ShardedLegalizer:
         """The serial in-process fallback: plain Algorithm 1.
 
         Reached either below the serial threshold or as the last rung
-        of the supervisor's degradation ladder (*degraded*)."""
+        of the degradation ladder (*degraded*)."""
         legalizer = Legalizer(self.design, self.config)
         if self.telemetry is not None:
             legalizer.mll.telemetry = self.telemetry
@@ -192,32 +192,27 @@ class ShardedLegalizer:
         if self.checkpoint is not None:
             self.checkpoint.open(design, self.config, partition)
 
-        transport = (
-            self.transport
-            if self.transport is not None
-            else make_transport(self.engine)
+        hook = self.checkpoint.record if self.checkpoint is not None else None
+        completed = (
+            self.checkpoint.completed if self.checkpoint is not None else None
         )
-        shipped = transport.execute(
-            tasks,
-            workers=workers,
-            on_outcome=(
-                self.checkpoint.record
-                if self.checkpoint is not None
-                else None
-            ),
-            completed=(
-                self.checkpoint.completed
-                if self.checkpoint is not None
-                else None
-            ),
-        )
-        supervision: SupervisionReport | None = shipped.supervision
+        transport = self.transport
+        if transport is None and workers > 1:
+            transport = make_transport(self.engine)
+        if transport is None:
+            shipped = TransportResult(
+                outcomes=_run_inprocess(tasks, hook, completed)
+            )
+        else:
+            shipped = transport.execute(
+                tasks, workers=workers, on_outcome=hook, completed=completed
+            )
+        supervision = shipped.supervision
         if shipped.serial_fallback:
             # Last ladder rung: the sharded plan is unsalvageable (a
-            # shard failed every transport rung *and* the in-process
-            # re-run).  The master design is still untouched — shards
-            # mutate copies — so the plain sequential driver takes
-            # over cleanly.
+            # shard failed every retry, or no worker was left).  The
+            # master design is still untouched — shards mutate copies —
+            # so the plain sequential driver takes over cleanly.
             return self._run_sequential(
                 t0, degraded=True, supervision=supervision
             )
@@ -270,7 +265,6 @@ class ShardedLegalizer:
             seam=report,
             shard_stats=[o.stats for o in outcomes],
             supervision=supervision,
-            transport=transport.name,
             wall_time_s=time.perf_counter() - t0,
         )
 
@@ -319,6 +313,29 @@ class ShardedLegalizer:
         )
 
 
+def _run_inprocess(
+    tasks: list[ShardTask],
+    on_outcome: OutcomeHook | None,
+    completed: dict[int, ShardOutcome] | None,
+) -> list[ShardOutcome]:
+    """``workers=1``: run the shards serially in this process.
+
+    Still honors the checkpoint (resume skips completed shards,
+    completions are recorded).  Worker fault specs do not fire here:
+    only a ``repro worker`` fires them."""
+    done = completed if completed is not None else {}
+    outcomes: list[ShardOutcome] = []
+    for task in tasks:
+        if task.shard_id in done:
+            outcomes.append(done[task.shard_id])
+            continue
+        outcome = run_shard(task)
+        if on_outcome is not None:
+            on_outcome(outcome)
+        outcomes.append(outcome)
+    return outcomes
+
+
 def legalize_sharded(
     design: Design,
     config: LegalizerConfig | None = None,
@@ -326,7 +343,7 @@ def legalize_sharded(
     telemetry: MllTelemetry | None = None,
     checkpoint: CheckpointManager | None = None,
     fault: ShardFaultSpec | None = None,
-    transport: ShardTransport | None = None,
+    transport: TcpTransport | None = None,
 ) -> EngineResult:
     """One-call convenience wrapper around :class:`ShardedLegalizer`."""
     sharded = ShardedLegalizer(design, config, engine)

@@ -35,7 +35,7 @@ from repro.db.floorplan import Floorplan
 from repro.db.library import Library, Rail
 from repro.db.netlist import Netlist
 from repro.geometry import Rect
-from repro.testing.faults import ShardFaultSpec, worker_fault_from_env
+from repro.testing.faults import ShardFaultSpec
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,12 +73,13 @@ class ShardTask:
     cells: tuple[ShardCellSpec, ...]
     collect_telemetry: bool = False
     attempt: int = 1
-    """1-based attempt number under the supervisor; a retried shard
+    """1-based attempt number set by the coordinator; a retried shard
     gets a fresh task with the *same* seed and a bumped attempt, so any
     successful attempt yields byte-identical deltas."""
     fault: "ShardFaultSpec | None" = None
     """Optional injected worker fault (:class:`repro.testing.faults.
-    ShardFaultSpec`) — test/chaos hook, ``None`` in production."""
+    ShardFaultSpec`) that the ``repro worker`` running this task fires
+    — test/chaos hook, ``None`` in production."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,7 +148,7 @@ def build_shard_design(task: ShardTask) -> tuple[Design, list[Cell]]:
 
 
 def run_shard(task: ShardTask) -> ShardOutcome:
-    """Legalize one shard (module-level: picklable for worker pools).
+    """Legalize one shard (a pure function of its task).
 
     A shard that exhausts its retry budget does *not* raise: its
     unplaced cells are reported in ``unplaced_cell_ids`` and retried by
@@ -169,14 +170,6 @@ def run_shard(task: ShardTask) -> ShardOutcome:
 
 def _run_shard_impl(task: ShardTask) -> ShardOutcome:
     """The actual shard body; see :func:`run_shard`."""
-    # Chaos hook: an armed ShardFaultSpec (from the task, or from the
-    # REPRO_WORKER_FAULT environment variable for CLI/CI experiments)
-    # fires *before* any work, simulating a worker that dies, wedges or
-    # throws.  A disarmed attempt (attempt > spec.attempts) runs clean.
-    fault = task.fault if task.fault is not None else worker_fault_from_env()
-    if fault is not None and fault.armed_for(task.shard_id, task.attempt):
-        fault.trip(task.shard_id, task.attempt)
-
     design, cells = build_shard_design(task)
     config = replace(task.config, seed=task.seed)
     legalizer = Legalizer(design, config)

@@ -24,8 +24,7 @@ blocks on an acknowledgement, so a zombie worker's duplicate delivery
 is just another line the coordinator dedupes by attempt id.
 
 Security note: payloads are pickles, so the coordinator port must only
-be exposed to trusted worker hosts (the same trust boundary as the
-existing ``ProcessPoolExecutor`` fan-out; see ``docs/parallel_engine.md``).
+be exposed to trusted worker hosts (see ``docs/parallel_engine.md``).
 """
 
 from __future__ import annotations
@@ -163,14 +162,16 @@ class LineChannel:
         return decode_message(line)
 
     def close(self) -> None:
+        """Close both ends (idempotent).
+
+        ``shutdown`` first: it wakes a thread blocked in :meth:`recv`
+        on this channel and sends the peer its EOF at once, which a
+        bare ``close`` does not do while that thread still reads."""
         try:
-            self._file.close()
-        except OSError:  # pragma: no cover - already torn down
-            pass
-        try:
-            self._sock.close()
-        except OSError:  # pragma: no cover - already torn down
-            pass
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already closed or reset by the peer
+        self._release()
 
     def abort(self) -> None:
         """Tear the connection down abruptly (chaos: connection drop).
@@ -187,4 +188,14 @@ class LineChannel:
             )
         except OSError:  # pragma: no cover - platform-specific
             pass
-        self.close()
+        self._release()
+
+    def _release(self) -> None:
+        try:
+            self._file.close()
+        except OSError:  # pragma: no cover - already torn down
+            pass
+        try:
+            self._sock.close()
+        except OSError:  # pragma: no cover - already torn down
+            pass

@@ -19,7 +19,6 @@ fault armed there, asserting state restoration each time.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -104,10 +103,14 @@ def count_journaled_mutations(
 
 
 # ----------------------------------------------------------------------
-# Worker-process fault modes (the engine supervisor's chaos monkey)
+# Worker fault modes (the shard coordinator's chaos monkey)
 # ----------------------------------------------------------------------
 #: Environment variable read by :func:`worker_fault_from_env`.
 WORKER_FAULT_ENV = "REPRO_WORKER_FAULT"
+
+#: Fault modes: three break the worker or its shard computation, three
+#: its link to the coordinator (see :class:`ShardFaultSpec`).
+FAULT_MODES = ("crash", "hang", "raise", "drop", "stall", "dup")
 
 
 class WorkerFault(RuntimeError):
@@ -126,26 +129,36 @@ class ShardFaultSpec:
     """A deliberate worker failure, armed per shard and per attempt.
 
     Where :class:`FaultInjector` crashes *mutations* to test the
-    journal, this spec crashes *workers* to test the engine supervisor
-    (:mod:`repro.engine.supervisor`).  It travels inside the pickled
-    :class:`~repro.engine.shard_worker.ShardTask`, so it fires in the
-    worker process itself — the supervisor sees exactly what a real
-    OOM kill / hang / bug would produce.
+    journal, this spec breaks *workers* to test the shard coordinator
+    (:mod:`repro.engine.remote`).  A ``repro worker`` fires it around
+    one leased task, so the coordinator sees exactly what a real OOM
+    kill, hang, bug or network failure would produce.  The spec travels
+    inside the pickled :class:`~repro.engine.shard_worker.ShardTask`
+    (``legalize_sharded(fault=...)``), or is armed per worker
+    (``WorkerConfig.fault`` or the ``REPRO_WORKER_FAULT`` environment
+    variable); the task's spec wins.
 
     Modes:
 
     ``crash``
-        ``os._exit(exitcode)`` — the process vanishes without a result,
-        like an OOM kill.  Fires only inside a worker process (it would
-        take the test runner down otherwise).
+        ``os._exit(exitcode)`` right after the worker accepts the task,
+        lease live: the process vanishes like an OOM kill, and the
+        coordinator sees a dropped connection.
     ``hang``
-        ``time.sleep(sleep_s)`` — simulates a wedged worker so the
-        per-shard timeout can be exercised.  Worker-process only.
+        ``time.sleep(sleep_s)`` while heartbeats keep the lease alive:
+        a wedged computation that only ``shard_timeout_s`` catches.
     ``raise``
-        raise :class:`WorkerFault` — an unexpected exception in the
-        shard flow.  Fires in *any* process (including the in-process
-        escalation rung), which is how tests drive the supervisor all
-        the way down to the whole-design serial fallback.
+        raise :class:`WorkerFault` inside the shard: the worker ships
+        the traceback home as a failed attempt.
+    ``drop``
+        compute the shard, then reset the connection instead of
+        delivering (a yanked cable); the worker reconnects.
+    ``stall``
+        stop heartbeating and sit on the finished result for
+        ``sleep_s`` seconds: the lease expires, the shard requeues, and
+        the late delivery is a duplicate the coordinator must drop.
+    ``dup``
+        deliver the result twice (a retransmit).
 
     ``attempts`` bounds the blast radius: the fault fires while the
     task's attempt number is ``<= attempts``, so ``attempts=1`` means
@@ -160,10 +173,12 @@ class ShardFaultSpec:
     exitcode: int = 13
 
     def __post_init__(self) -> None:
-        if self.mode not in ("crash", "hang", "raise"):
+        if self.mode not in FAULT_MODES:
             raise ValueError(f"unknown worker fault mode {self.mode!r}")
         if self.attempts < 0:
             raise ValueError("attempts must be >= 0")
+        if self.sleep_s < 0:
+            raise ValueError("sleep_s must be >= 0")
 
     # ------------------------------------------------------------------
     def armed_for(self, shard_id: int, attempt: int) -> bool:
@@ -171,21 +186,17 @@ class ShardFaultSpec:
         return shard_id == self.shard_id and attempt <= self.attempts
 
     def trip(self, shard_id: int, attempt: int) -> None:
-        """Fire the fault (call only when :meth:`armed_for` is true).
+        """Fire a process mode (call only when :meth:`armed_for` holds).
 
-        ``crash`` and ``hang`` are no-ops outside a worker process:
-        both would otherwise destroy (or stall) the supervising process
-        the tests run in.  ``raise`` always fires — the in-process
-        escalation rung must be crashable too.
+        Only a worker process calls this, before it computes the shard;
+        the network modes are no-ops here (the worker's delivery path
+        fires them).
         """
-        in_worker = multiprocessing.parent_process() is not None
         if self.mode == "crash":
-            if in_worker:
-                os._exit(self.exitcode)
+            os._exit(self.exitcode)
         elif self.mode == "hang":
-            if in_worker:
-                time.sleep(self.sleep_s)
-        else:  # raise
+            time.sleep(self.sleep_s)
+        elif self.mode == "raise":
             raise WorkerFault(shard_id, attempt)
 
 
@@ -193,9 +204,9 @@ def worker_fault_from_env(env: str | None = None) -> ShardFaultSpec | None:
     """Parse a :class:`ShardFaultSpec` from ``REPRO_WORKER_FAULT``.
 
     Format: ``mode,shard=ID[,attempts=N][,sleep=S][,exitcode=E]``, e.g.
-    ``crash,shard=0,attempts=1``.  Lets the CLI / CI chaos smoke inject
-    worker kills into a real ``repro legalize --workers N`` run without
-    any code hook.  Returns ``None`` when the variable is unset/empty;
+    ``crash,shard=0,attempts=1``.  Lets a real ``repro legalize
+    --workers N`` run, or a ``repro worker``, inject faults without any
+    code hook.  Returns ``None`` when the variable is unset/empty;
     raises :class:`ValueError` on a malformed value (a chaos experiment
     that silently does not run is worse than one that fails loudly).
     """

@@ -2,8 +2,7 @@
 
 Deterministic cases pin the structural contracts the flow rules lean
 on — block splitting around compound headers, exception and ``finally``
-routing, dominators over loops with ``break``/``continue``/``else`` —
-and a liveness toy exercises :func:`solve_backward`.  The hypothesis
+routing — and a liveness toy exercises :func:`solve_backward`.  The hypothesis
 sweep generates random (valid) function bodies and checks the global
 invariants: every statement lands in exactly one block, and every edge
 connects blocks that exist.
@@ -156,77 +155,6 @@ class TestExceptionEdges:
         succ_bids = {dst for dst, _ in cfg.successors(fin_bid)}
         assert cfg.block_of_stmt(ret) in succ_bids
         assert cfg.raise_exit in succ_bids
-
-
-class TestDominatorsOnLoops:
-    SOURCE = (
-        "def loop(xs: list[int]) -> int:\n"
-        "    total = 0\n"
-        "    for x in xs:\n"
-        "        if x < 0:\n"
-        "            break\n"
-        "        if x == 0:\n"
-        "            continue\n"
-        "        total = total + x\n"
-        "    else:\n"
-        "        total = -1\n"
-        "    return total\n"
-    )
-
-    def test_back_edges_all_target_the_loop_header(self):
-        func, cfg = cfg_of(self.SOURCE)
-        loop = func.body[1]
-        header = cfg.block_of_stmt(loop)
-        backs = cfg.back_edges()
-        # Two latches: the ``continue`` and the body fall-through.
-        assert len(backs) == 2
-        assert {dst for _src, dst in backs} == {header}
-
-    def test_header_dominates_the_body_but_not_the_else(self):
-        func, cfg = cfg_of(self.SOURCE)
-        loop = func.body[1]
-        assert isinstance(loop, ast.For)
-        header = cfg.block_of_stmt(loop)
-        body_last = cfg.block_of_stmt(loop.body[2])
-        orelse = cfg.block_of_stmt(loop.orelse[0])
-        ret = cfg.block_of_stmt(func.body[2])
-        assert cfg.dominates(header, body_last)
-        assert cfg.dominates(header, orelse)
-        assert cfg.dominates(header, ret)
-        # The break path skips the else, so the else does not
-        # dominate the return.
-        assert not cfg.dominates(orelse, ret)
-        # And no body block dominates the else (the zero-iteration
-        # path bypasses the body entirely).
-        assert not cfg.dominates(body_last, orelse)
-
-    def test_natural_loop_bodies_exclude_else_and_return(self):
-        func, cfg = cfg_of(self.SOURCE)
-        loop = func.body[1]
-        assert isinstance(loop, ast.For)
-        members = frozenset().union(
-            *(body for _h, body in cfg.natural_loops())
-        )
-        assert cfg.block_of_stmt(loop.body[2]) in members
-        assert cfg.block_of_stmt(loop.orelse[0]) not in members
-        assert cfg.block_of_stmt(func.body[2]) not in members
-
-    def test_loop_depth_counts_nesting(self):
-        func, cfg = cfg_of(
-            "def nest(n: int) -> int:\n"
-            "    total = 0\n"
-            "    for i in range(n):\n"
-            "        for j in range(n):\n"
-            "            total = total + j\n"
-            "    return total\n"
-        )
-        outer = func.body[1]
-        assert isinstance(outer, ast.For)
-        inner = outer.body[0]
-        assert isinstance(inner, ast.For)
-        assert cfg.loop_depth(cfg.block_of_stmt(outer)) == 1
-        assert cfg.loop_depth(cfg.block_of_stmt(inner)) == 2
-        assert cfg.loop_depth(cfg.block_of_stmt(func.body[2])) == 0
 
 
 class TestSolveBackwardLiveness:
@@ -473,7 +401,3 @@ def test_property_edges_connect_existing_blocks(body):
         for src, kind in cfg.predecessors(bid):
             assert src in cfg.blocks
             assert (bid, kind) in cfg.successors(src)
-    doms = cfg.dominators()
-    for bid in cfg.reachable():
-        assert cfg.entry in doms[bid]
-        assert bid in doms[bid]

@@ -1,12 +1,14 @@
-"""TCP transport chaos suite: leases, dedupe, recovery, byte-identity.
+"""Coordinator chaos suite: leases, dedupe, recovery, byte-identity.
 
-The contract under test is the distributed twin of the supervisor's:
-*any* schedule of worker deaths, reconnects, stalls, and duplicate
-deliveries yields a final placement byte-identical to a fault-free
-serial run — remote execution decides only where a shard runs, never
-what it computes.  Faults are injected with
-:mod:`repro.testing.netfaults`; workers run as real child processes
-speaking the real NDJSON wire over localhost.
+The contract under test: *any* schedule of worker deaths, reconnects,
+stalls, and duplicate deliveries that the queue survives yields a final
+placement byte-identical to a fault-free serial run — the coordinator
+decides only where a shard runs, never what it computes — and a
+schedule it cannot survive ends in the plain sequential placement.
+Most tests bind the coordinator to a loopback address and start each
+external worker with its own :class:`~repro.testing.faults.
+ShardFaultSpec`; workers run as real child processes speaking the real
+NDJSON wire.
 """
 
 import threading
@@ -15,7 +17,7 @@ import pytest
 
 from repro.bench import GeneratorConfig, generate_design
 from repro.checker import verify_placement
-from repro.core import LegalizerConfig
+from repro.core import Legalizer, LegalizerConfig
 from repro.engine import (
     EngineConfig,
     RemoteProtocolError,
@@ -36,10 +38,18 @@ from repro.engine.wire import (
     pack_payload,
     unpack_payload,
 )
-from repro.testing import NetFaultSpec, design_state_digest, netfault_from_env
+from repro.testing import (
+    ShardFaultSpec,
+    design_state_digest,
+    worker_fault_from_env,
+)
 
 GEN = GeneratorConfig(num_cells=700, target_density=0.5, seed=9)
 CFG = LegalizerConfig(seed=1)
+
+
+#: Bind address of a coordinator serving external workers only.
+LOOPBACK = ("127.0.0.1", 0)
 
 
 def fresh_design():
@@ -49,7 +59,6 @@ def fresh_design():
 def remote_engine(**overrides):
     base = dict(
         workers=2, shards=2, serial_threshold=0,
-        transport="tcp", bind_host="127.0.0.1", bind_port=0,
         lease_ttl_s=0.5, heartbeat_interval_s=0.1,
         worker_wait_s=20.0, drain_grace_s=2.0,
         backoff_base_s=0.01, backoff_max_s=0.05,
@@ -65,13 +74,13 @@ def worker_cfg(transport, name, fault=None):
         name=name,
         connect_retries=5,
         connect_backoff_s=0.05,
-        netfault=fault,
+        fault=fault,
     )
 
 
 def run_remote(engine, faults, design):
-    """Coordinate *design* over TCP with one worker per fault entry."""
-    transport = TcpTransport(engine)
+    """Coordinate *design* with one external worker per fault entry."""
+    transport = TcpTransport(engine, bind=LOOPBACK)
     procs = [
         spawn_worker_process(worker_cfg(transport, f"w{i}", fault))
         for i, fault in enumerate(faults)
@@ -98,6 +107,21 @@ def reference():
     return coords, design_state_digest(design)
 
 
+@pytest.fixture(scope="module")
+def sequential():
+    """Coordinates of the plain sequential run: where the ladder ends."""
+    design = fresh_design()
+    Legalizer(design, CFG).run()
+    return [(c.name, c.x, c.y) for c in design.cells]
+
+
+def assert_degraded(result, design, sequential):
+    assert result.degraded and not result.parallel
+    assert result.supervision.serial_fallback
+    assert verify_placement(design) == []
+    assert [(c.name, c.x, c.y) for c in design.cells] == sequential
+
+
 def assert_identical(design, reference):
     ref_coords, ref_digest = reference
     assert verify_placement(design) == []
@@ -122,7 +146,7 @@ class TestWireCodec:
             decode_message(b'{"shard": 1}\n')
 
     def test_payload_roundtrip(self):
-        spec = NetFaultSpec(shard_id=3, mode="stall", sleep_s=0.25)
+        spec = ShardFaultSpec(shard_id=3, mode="stall", sleep_s=0.25)
         assert unpack_payload(pack_payload(spec)) == spec
 
     def test_unpack_rejects_garbage(self):
@@ -200,36 +224,31 @@ class TestConnectCleanup:
 
 
 # ----------------------------------------------------------------------
-# Chaos spec parsing (mirrors REPRO_WORKER_FAULT)
+# Network fault modes of the REPRO_WORKER_FAULT grammar
 # ----------------------------------------------------------------------
 class TestNetFaultParsing:
     def test_env_roundtrip(self):
-        spec = netfault_from_env("stall,shard=2,attempts=3,sleep=0.5")
-        assert spec == NetFaultSpec(
+        spec = worker_fault_from_env("stall,shard=2,attempts=3,sleep=0.5")
+        assert spec == ShardFaultSpec(
             shard_id=2, mode="stall", attempts=3, sleep_s=0.5
         )
-        assert netfault_from_env("") is None
-        kill = netfault_from_env("kill,shard=0,exitcode=7")
-        assert kill.mode == "kill" and kill.exitcode == 7
+        assert worker_fault_from_env("") is None
+        drop = worker_fault_from_env("drop,shard=0")
+        assert drop.mode == "drop" and drop.attempts == 1
 
     def test_env_rejects_malformed(self):
         with pytest.raises(ValueError):
-            netfault_from_env("drop")  # no shard
+            worker_fault_from_env("drop")  # no shard
         with pytest.raises(ValueError):
-            netfault_from_env("drop,shard=0,bogus=1")
+            worker_fault_from_env("drop,shard=0,bogus=1")
         with pytest.raises(ValueError):
-            netfault_from_env("meltdown,shard=0")
+            worker_fault_from_env("meltdown,shard=0")
 
     def test_armed_bounds(self):
-        spec = NetFaultSpec(shard_id=1, mode="dup", attempts=2)
+        spec = ShardFaultSpec(shard_id=1, mode="dup", attempts=2)
         assert spec.armed_for(1, 1) and spec.armed_for(1, 2)
         assert not spec.armed_for(1, 3)
         assert not spec.armed_for(0, 1)
-
-    def test_kill_is_inert_outside_a_child_process(self):
-        # Guarded exactly like ShardFaultSpec: firing it here, in the
-        # test runner itself, must be a no-op.
-        NetFaultSpec(shard_id=0, mode="kill").kill_now()
 
 
 # ----------------------------------------------------------------------
@@ -239,16 +258,13 @@ class TestCleanDistribution:
     def test_two_workers_byte_identical_to_serial(self, reference):
         design = fresh_design()
         result = run_remote(remote_engine(), [None, None], design)
-        assert result.transport == "tcp"
+        assert result.parallel and not result.degraded
         report = result.supervision
-        assert report.remote_workers == 2
-        assert report.crashes == 0 and report.remote_fallbacks == 0
-        remote_ok = [
-            a for a in report.attempts
-            if a.rung == "remote" and a.status == "ok"
-        ]
-        assert sorted(a.shard_id for a in remote_ok) == [0, 1]
-        assert "remote_workers=2" in report.summary()
+        assert report.workers_joined == 2
+        assert report.crashes == 0
+        ok = [a for a in report.attempts if a.status == "ok"]
+        assert sorted(a.shard_id for a in ok) == [0, 1]
+        assert "workers_joined=2" in report.summary()
         assert_identical(design, reference)
 
 
@@ -263,16 +279,14 @@ class TestChaosRecovery:
         design = fresh_design()
         result = run_remote(
             remote_engine(),
-            [NetFaultSpec(shard_id=0, mode="drop", attempts=1)],
+            [ShardFaultSpec(shard_id=0, mode="drop", attempts=1)],
             design,
         )
         report = result.supervision
         assert report.crashes == 1
         assert report.retries >= 1
-        assert report.remote_fallbacks == 0
         crash = [a for a in report.attempts if a.status == "crash"]
         assert crash and crash[0].shard_id == 0
-        assert crash[0].rung == "remote"
         assert_identical(design, reference)
 
     def test_stalled_heartbeat_expires_the_lease(self, reference):
@@ -282,7 +296,7 @@ class TestChaosRecovery:
         design = fresh_design()
         result = run_remote(
             remote_engine(),
-            [NetFaultSpec(shard_id=0, mode="stall", attempts=1, sleep_s=2.0)],
+            [ShardFaultSpec(shard_id=0, mode="stall", attempts=1, sleep_s=2.0)],
             design,
         )
         report = result.supervision
@@ -298,7 +312,7 @@ class TestChaosRecovery:
         design = fresh_design()
         result = run_remote(
             remote_engine(),
-            [NetFaultSpec(shard_id=1, mode="dup", attempts=1)],
+            [ShardFaultSpec(shard_id=1, mode="dup", attempts=1)],
             design,
         )
         report = result.supervision
@@ -311,13 +325,13 @@ class TestChaosRecovery:
     def test_mid_shard_kill_recovers_on_a_fresh_worker(self, reference):
         """A worker that dies mid-shard (os._exit, lease live) is
         detected by the dropped connection; a replacement worker picks
-        the shard back up — no local fallback needed."""
+        the shard back up — no serial fallback needed."""
         engine = remote_engine()
-        transport = TcpTransport(engine)
+        transport = TcpTransport(engine, bind=LOOPBACK)
         doomed = spawn_worker_process(
             worker_cfg(
                 transport, "doomed",
-                NetFaultSpec(shard_id=0, mode="kill", attempts=1),
+                ShardFaultSpec(shard_id=0, mode="crash", attempts=1),
             )
         )
         relief = []
@@ -341,55 +355,85 @@ class TestChaosRecovery:
                 proc.join(timeout=30)
         report = result.supervision
         assert report.crashes == 1
-        assert report.remote_workers == 2
-        assert report.remote_fallbacks == 0
+        assert report.workers_joined == 2
+        assert not result.degraded
         assert_identical(design, reference)
 
-    def test_total_fleet_death_degrades_to_local_ladder(self, reference):
+    def test_total_fleet_death_degrades_to_local_ladder(self, sequential):
         """Every worker is gone and none returns: after worker_wait_s
-        the whole queue escalates to the local supervisor and the run
-        still finishes byte-identical."""
+        the ladder's last, local rung runs the whole design serially."""
         design = fresh_design()
         result = run_remote(
             remote_engine(worker_wait_s=0.5),
-            [NetFaultSpec(shard_id=0, mode="kill", attempts=1)],
+            [ShardFaultSpec(shard_id=0, mode="crash", attempts=1)],
             design,
         )
         report = result.supervision
         assert report.crashes == 1
-        assert report.remote_fallbacks == 2  # both shards escalated
-        rungs = {a.rung for a in report.attempts}
-        assert "remote" in rungs and rungs - {"remote"}  # ladder ran
-        assert "remote_fallbacks=2" in report.summary()
-        assert_identical(design, reference)
+        assert "no worker rejoined" in report.fallback_reason
+        assert "serial_fallback=yes" in report.summary()
+        assert_degraded(result, design, sequential)
+
+
+# ----------------------------------------------------------------------
+# The local fleet
+# ----------------------------------------------------------------------
+class TestLocalFleet:
+    """Without ``bind`` the coordinator forks and owns its workers."""
+
+    def test_fleet_death_degrades_without_waiting(self, sequential):
+        """Both local workers die on shard 0: the coordinator sees its
+        fleet gone and takes the serial rung at once, long before
+        worker_wait_s."""
+        design = fresh_design()
+        result = legalize_sharded(
+            design, CFG,
+            remote_engine(max_shard_retries=5, worker_wait_s=60.0),
+            fault=ShardFaultSpec(shard_id=0, mode="crash", attempts=99),
+        )
+        report = result.supervision
+        assert report.crashes == 2
+        assert "every local worker exited" in report.fallback_reason
+        assert result.wall_time_s < 30.0
+        assert_degraded(result, design, sequential)
+
+    def test_fleet_death_strict_raises(self):
+        with pytest.raises(WorkerUnavailableError, match="local worker"):
+            legalize_sharded(
+                fresh_design(), CFG,
+                remote_engine(max_shard_retries=5, serial_fallback=False),
+                fault=ShardFaultSpec(shard_id=0, mode="crash", attempts=99),
+            )
 
 
 # ----------------------------------------------------------------------
 # Fallback policy
 # ----------------------------------------------------------------------
 class TestFallbackPolicy:
-    def test_no_worker_degrades_to_local(self, reference):
+    def test_no_worker_degrades_to_local(self, sequential):
+        """Nobody joins a bound coordinator: the serial rung runs the
+        design locally."""
         design = fresh_design()
         result = run_remote(
             remote_engine(worker_wait_s=0.4), [], design
         )
         report = result.supervision
-        assert report.remote_workers == 0
-        assert report.remote_fallbacks == 2
-        assert_identical(design, reference)
+        assert report.workers_joined == 0
+        assert "no worker joined" in report.fallback_reason
+        assert_degraded(result, design, sequential)
 
     def test_no_worker_strict_raises(self):
-        engine = remote_engine(worker_wait_s=0.3, remote_fallback=False)
-        transport = TcpTransport(engine)
-        with pytest.raises(WorkerUnavailableError, match="no remote worker"):
+        engine = remote_engine(worker_wait_s=0.3, serial_fallback=False)
+        transport = TcpTransport(engine, bind=LOOPBACK)
+        with pytest.raises(WorkerUnavailableError, match="no worker"):
             legalize_sharded(
                 fresh_design(), CFG, engine, transport=transport
             )
 
     def test_drain_request_aborts_with_resume_hint(self):
         engine = remote_engine()
-        transport = TcpTransport(engine)
-        transport.request_drain()  # as the CLI's SIGTERM hook would
+        transport = TcpTransport(engine, bind=LOOPBACK)
+        transport.request_drain()  # as a SIGTERM-driven shutdown would
         with pytest.raises(TransportError, match="--resume"):
             legalize_sharded(
                 fresh_design(), CFG, engine, transport=transport

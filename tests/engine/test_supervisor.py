@@ -1,8 +1,11 @@
-"""Supervisor paths: crash, timeout, escalation, fallback, quarantine.
+"""Coordinator fault paths: crash, timeout, retry, fallback, quarantine.
 
-Every recovery scenario must satisfy the engine's determinism contract:
-a run that survives injected faults produces coordinates byte-identical
-to a fault-free run (retried shards reuse their derived seeds).
+Every ``workers=2`` run here goes through the shard coordinator and its
+local worker fleet.  Every recovery scenario must satisfy the engine's
+determinism contract: a run that survives injected faults produces
+coordinates byte-identical to a fault-free run (retried shards reuse
+their derived seeds); a run that exhausts the ladder ends in the plain
+sequential placement.
 """
 
 import pytest
@@ -46,9 +49,10 @@ def reference():
 
 class TestCrashRecovery:
     def test_worker_crash_is_contained_and_retried(self, reference):
-        """A child that os._exit()s mid-shard is detected as a crash,
-        the shard is retried, and the final placement is byte-identical
-        to the fault-free run."""
+        """A worker that os._exit()s mid-shard drops its connection; the
+        coordinator books a crash, retries the shard on the surviving
+        worker, and the final placement is byte-identical to the
+        fault-free run."""
         ref_coords, ref_digest = reference
         design = fresh_design()
         result = legalize_sharded(
@@ -60,10 +64,10 @@ class TestCrashRecovery:
         assert report.crashes == 1
         assert report.retries == 1
         assert not report.serial_fallback
-        # The crash attempt is in the log with its exit code.
+        # The crash attempt is in the log with its lease.
         crash = [a for a in report.attempts if a.status == "crash"]
         assert len(crash) == 1 and crash[0].shard_id == 0
-        assert "exitcode 13" in crash[0].detail
+        assert "connection lost with lease s0a1" in crash[0].detail
         assert verify_placement(design) == []
         assert coords(design) == ref_coords
         assert design_state_digest(design) == ref_digest
@@ -94,8 +98,9 @@ class TestCrashRecovery:
 
 class TestTimeouts:
     def test_hung_worker_is_killed_and_retried(self, reference):
-        """A wedged worker exceeds shard_timeout_s, is terminated, and
-        the retry produces the byte-identical placement."""
+        """A wedged worker keeps heartbeating but overruns the hard
+        deadline shard_timeout_s; the coordinator kills it and the
+        retry produces the byte-identical placement."""
         ref_coords, ref_digest = reference
         design = fresh_design()
         result = legalize_sharded(
@@ -108,8 +113,10 @@ class TestTimeouts:
         report = result.supervision
         assert report.timeouts == 1
         assert report.retries == 1
+        assert report.lease_expiries == 0  # heartbeats kept the lease
         timeouts = [a for a in report.attempts if a.status == "timeout"]
         assert timeouts[0].shard_id == 1
+        assert "wall-clock budget" in timeouts[0].detail
         assert coords(design) == ref_coords
         assert design_state_digest(design) == ref_digest
 
@@ -121,12 +128,35 @@ class TestTimeouts:
             EngineConfig(shard_timeout_s=0)
 
 
+class TestDedupe:
+    @pytest.mark.parametrize("shard_id", [0, 1])
+    def test_local_fleet_counts_every_duplicate(self, reference, shard_id):
+        """A result delivered twice is counted once as a duplicate and
+        applied once — also when it is the last result of the run, whose
+        copy arrives after the queue has emptied."""
+        ref_coords, ref_digest = reference
+        design = fresh_design()
+        result = legalize_sharded(
+            design, CFG, EngineConfig(**ENG),
+            fault=ShardFaultSpec(shard_id=shard_id, mode="dup", attempts=1),
+        )
+        report = result.supervision
+        assert result.parallel
+        assert report.duplicate_results == 1
+        dup = [a for a in report.attempts if a.status == "duplicate"]
+        assert [a.shard_id for a in dup] == [shard_id]
+        assert coords(design) == ref_coords
+        assert design_state_digest(design) == ref_digest
+
+
 class TestDegradationLadder:
-    def test_persistent_crash_escalates_in_process(self, reference):
-        """crash fires only in worker processes: when every pool attempt
-        dies, the in-process rung runs the shard clean — and still
-        byte-identical (same derived seed)."""
-        ref_coords, _ = reference
+    def test_persistent_crash_degrades_to_serial(self):
+        """crash fires on every attempt: each one kills the worker that
+        took it, so the shard runs out of retries and the run degrades
+        to the plain sequential driver — and matches it exactly."""
+        sequential = fresh_design()
+        Legalizer(sequential, CFG).run()
+
         design = fresh_design()
         result = legalize_sharded(
             design, CFG,
@@ -134,21 +164,16 @@ class TestDegradationLadder:
             fault=ShardFaultSpec(shard_id=0, mode="crash", attempts=99),
         )
         report = result.supervision
-        assert report.crashes == 2  # initial + 1 retry
-        assert report.inprocess_escalations == 1
-        assert not report.serial_fallback
-        assert result.parallel
-        ok_inproc = [
-            a for a in report.attempts
-            if a.rung == "inprocess" and a.status == "ok"
-        ]
-        assert len(ok_inproc) == 1
-        assert coords(design) == ref_coords
+        assert report.crashes == 2  # initial + 1 retry, one worker each
+        assert report.serial_fallback
+        assert result.degraded and not result.parallel
+        assert verify_placement(design) == []
+        assert coords(design) == coords(sequential)
 
     def test_unrecoverable_shard_degrades_to_serial(self):
-        """raise fires on every rung: pool retries and the in-process
-        re-run all fail, so the run degrades to the plain sequential
-        driver — and matches it exactly."""
+        """raise fires on every attempt: the workers survive, but the
+        shard fails every retry, so the run degrades to the plain
+        sequential driver — and matches it exactly."""
         sequential = fresh_design()
         Legalizer(sequential, CFG).run()
 
@@ -161,9 +186,25 @@ class TestDegradationLadder:
         report = result.supervision
         assert report.serial_fallback
         assert report.failed_shards == [0]
+        assert "failed every retry" in report.fallback_reason
         assert result.degraded and not result.parallel
         assert verify_placement(design) == []
         assert coords(design) == coords(sequential)
+
+    def test_failed_shard_stops_leasing(self):
+        """Once a shard has failed every retry the run falls back, so
+        the coordinator leases nothing more: of four shards, only the
+        failed one and the one already in flight are ever attempted."""
+        design = fresh_design()
+        result = legalize_sharded(
+            design, CFG,
+            EngineConfig(**{**ENG, "shards": 4}, max_shard_retries=0),
+            fault=ShardFaultSpec(shard_id=0, mode="raise", attempts=99),
+        )
+        report = result.supervision
+        assert report.serial_fallback and report.failed_shards == [0]
+        assert {a.shard_id for a in report.attempts} <= {0, 1}
+        assert verify_placement(design) == []
 
     def test_serial_fallback_disabled_raises(self):
         design = fresh_design()
@@ -183,18 +224,6 @@ class TestDegradationLadder:
         )
         text = result.supervision.summary()
         assert "crashes=1" in text and "retries=1" in text
-
-
-class TestUnsupervised:
-    def test_bare_pool_still_works_fault_free(self, reference):
-        ref_coords, _ = reference
-        design = fresh_design()
-        result = legalize_sharded(
-            design, CFG, EngineConfig(**ENG, supervise=False)
-        )
-        assert result.parallel
-        assert result.supervision is None
-        assert coords(design) == ref_coords
 
 
 class TestQuarantine:
@@ -297,6 +326,8 @@ class TestFaultSpecParsing:
         from repro.testing import worker_fault_from_env
 
         with pytest.raises(ValueError):
+            worker_fault_from_env("hang,shard=0,sleep=-1")
+        with pytest.raises(ValueError):
             worker_fault_from_env("crash")  # no shard
         with pytest.raises(ValueError):
             worker_fault_from_env("crash,shard=0,bogus=1")
@@ -311,7 +342,7 @@ class TestFaultSpecParsing:
 
 
 # ----------------------------------------------------------------------
-# Backoff policy (shared by the supervisor and the TCP transport)
+# Backoff policy of the coordinator
 # ----------------------------------------------------------------------
 class TestBackoffPolicy:
     def test_jitter_is_seed_deterministic(self):
@@ -361,55 +392,49 @@ class TestBackoffPolicy:
         assert len(delays) > 1
 
 
-class TestSpawnCleanup:
-    def test_pipe_close_failure_reaps_the_started_child(self):
-        """If closing the parent's copy of the write end fails after
-        ``process.start()``, the just-started child must be terminated
-        and joined instead of orphaned."""
-        from dataclasses import dataclass as _dataclass
+class TestFleetCleanup:
+    def test_fleet_start_failure_reaps_started_workers(self, monkeypatch):
+        """If forking the second local worker fails, the first one must
+        be joined and released and the port closed, not orphaned."""
+        import socket
         from types import SimpleNamespace
 
-        from repro.engine.supervisor import ShardSupervisor
+        import repro.engine.remote as remote_module
+        from repro.engine import TcpTransport
 
-        @_dataclass
-        class FakeTask:
-            shard_id: int = 0
-            attempt: int = 0
+        started = []
 
         class FakeProcess:
-            def __init__(self):
-                self.started = False
-                self.terminated = False
-                self.joined = False
+            def __init__(self, **kwargs):
+                self.pid = None
+                self.joined = self.closed = False
 
             def start(self):
-                self.started = True
+                if started:
+                    raise OSError("fork failed")
+                started.append(self)
 
-            def terminate(self):
-                self.terminated = True
+            def is_alive(self):
+                return False
 
             def join(self, timeout=None):
                 self.joined = True
 
-        class BadSend:
             def close(self):
-                raise OSError("pipe close failed")
+                self.closed = True
 
-        proc = FakeProcess()
-
-        class FakeCtx:
-            def Pipe(self, duplex=False):
-                return object(), BadSend()
-
-            def Process(self, **kwargs):
-                return proc
-
-        fake = SimpleNamespace(
-            _ctx=FakeCtx(),
-            engine=SimpleNamespace(shard_timeout_s=None),
+        monkeypatch.setattr(
+            remote_module.multiprocessing,
+            "get_context",
+            lambda method=None: SimpleNamespace(Process=FakeProcess),
         )
-        with pytest.raises(OSError, match="pipe close failed"):
-            ShardSupervisor._spawn(fake, FakeTask(), attempt=1)
-        assert proc.started
-        assert proc.terminated
-        assert proc.joined
+        transport = TcpTransport(EngineConfig(**ENG))
+        port = transport.port
+        with pytest.raises(OSError, match="fork failed"):
+            transport.execute(
+                [SimpleNamespace(shard_id=0, seed=1)], workers=2
+            )
+        assert len(started) == 1
+        assert started[0].joined and started[0].closed
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=1.0)

@@ -1,10 +1,11 @@
-"""Transport seam: selection, injection, and LocalTransport parity.
+"""Shard execution seam: selection, injection, and path parity.
 
-PR 8 put a :class:`~repro.engine.transport.ShardTransport` between the
-executor and the CPUs.  The contract under test here: the default
-``LocalTransport`` is a zero-behavior refactor of the old executor
-paths, ``make_transport`` selects by config, and an injected transport
-is actually the one the executor uses.
+The executor runs ``workers=1`` in-process and everything else through
+the shard coordinator (:class:`~repro.engine.remote.TcpTransport`).
+The contract under test here: the default coordinator forks its own
+local fleet, ``make_transport`` builds it, an injected coordinator is
+actually the one the executor uses, and both paths produce the same
+shard deltas.
 """
 
 import pytest
@@ -13,13 +14,13 @@ from repro.bench import GeneratorConfig, generate_design
 from repro.core import LegalizerConfig
 from repro.engine import (
     EngineConfig,
-    LocalTransport,
-    ShardTransport,
+    SupervisionReport,
+    TcpTransport,
     TransportResult,
     legalize_sharded,
     make_transport,
 )
-from repro.engine.supervisor import SupervisionReport
+from repro.engine.executor import _run_inprocess
 from repro.testing import design_state_digest
 
 GEN = GeneratorConfig(num_cells=900, target_density=0.5, seed=6)
@@ -34,42 +35,38 @@ def fresh_design():
     return generate_design(GEN)
 
 
-class CapturingTransport(ShardTransport):
-    """Delegates to LocalTransport but records what it was handed."""
-
-    name = "capture"
+class CapturingTransport(TcpTransport):
+    """The default coordinator, recording what it was handed."""
 
     def __init__(self, engine):
-        self.inner = LocalTransport(engine)
+        super().__init__(engine)
         self.calls = 0
         self.tasks = []
 
-    def execute(self, tasks, *, workers, on_outcome=None, completed=None):
+    def execute(self, tasks, **kwargs):
         self.calls += 1
         self.tasks = list(tasks)
-        return self.inner.execute(
-            tasks,
-            workers=workers,
-            on_outcome=on_outcome,
-            completed=completed,
-        )
+        return super().execute(tasks, **kwargs)
 
 
 # ----------------------------------------------------------------------
 class TestSelection:
     def test_default_is_local(self):
+        """The default coordinator listens on loopback and owns a
+        local fleet."""
         transport = make_transport(EngineConfig())
-        assert isinstance(transport, LocalTransport)
-        assert transport.name == "local"
-
-    def test_tcp_is_selected_and_binds_eagerly(self):
-        from repro.engine.remote import TcpTransport
-
-        engine = EngineConfig(transport="tcp", bind_port=0)
-        transport = make_transport(engine)
         try:
             assert isinstance(transport, TcpTransport)
-            assert transport.name == "tcp"
+            assert transport.owns_fleet
+            assert transport.host == "127.0.0.1"
+        finally:
+            transport.close()
+
+    def test_tcp_is_selected_and_binds_eagerly(self):
+        engine = EngineConfig()
+        transport = TcpTransport(engine, bind=("127.0.0.1", 0))
+        try:
+            assert not transport.owns_fleet  # serves external workers
             # Port is known before any worker starts.
             assert transport.port > 0
             assert transport.host == "127.0.0.1"
@@ -79,7 +76,10 @@ class TestSelection:
     def test_engine_result_reports_transport(self):
         result = legalize_sharded(fresh_design(), CFG, EngineConfig(**ENG))
         assert result.parallel
-        assert result.transport == "local"
+        assert result.workers == 2
+        report = result.supervision
+        assert report is not None
+        assert sorted(a.shard_id for a in report.attempts) == [0, 1]
 
 
 # ----------------------------------------------------------------------
@@ -92,7 +92,7 @@ class TestInjection:
         engine = EngineConfig(**ENG)
         transport = CapturingTransport(engine)
         result = legalize_sharded(design, CFG, engine, transport=transport)
-        assert result.transport == "capture"
+        assert result.parallel
         assert transport.calls == 1
         assert sorted(t.shard_id for t in transport.tasks) == [0, 1]
         assert design_state_digest(design) == design_state_digest(baseline)
@@ -109,34 +109,28 @@ class TestLocalPaths:
         return transport.tasks
 
     def test_inprocess_honors_completed_and_hook(self, tasks):
-        engine = EngineConfig(**ENG)
-        local = LocalTransport(engine)
-        first = local.execute(tasks, workers=1)
-        assert first.workers == 1
-        assert first.supervision is None  # unsupervised by construction
+        first = _run_inprocess(tasks, None, None)
 
-        done = {tasks[0].shard_id: first.outcomes[0]}
+        done = {tasks[0].shard_id: first[0]}
         fired = []
-        second = local.execute(
-            tasks, workers=1, on_outcome=fired.append, completed=done
-        )
+        second = _run_inprocess(tasks, fired.append, done)
         # The completed shard is returned verbatim, never recomputed,
         # and the hook fires only for newly computed outcomes.
         assert [o.shard_id for o in fired] == [tasks[1].shard_id]
-        assert second.outcomes[0] is first.outcomes[0]
-        assert [
-            o.placements for o in second.outcomes
-        ] == [o.placements for o in first.outcomes]
+        assert second[0] is first[0]
+        assert [o.placements for o in second] == [
+            o.placements for o in first
+        ]
 
     def test_supervised_path_reports(self, tasks):
         engine = EngineConfig(**ENG)
-        result = LocalTransport(engine).execute(tasks, workers=2)
+        result = TcpTransport(engine).execute(tasks, workers=2)
         assert result.supervision is not None
         assert result.workers == 2
         assert not result.serial_fallback
-        serial = LocalTransport(engine).execute(tasks, workers=1)
+        serial = _run_inprocess(tasks, None, None)
         assert [o.placements for o in result.outcomes] == [
-            o.placements for o in serial.outcomes
+            o.placements for o in serial
         ]
 
 

@@ -36,6 +36,35 @@ class TestLifecycle:
         assert result["seq"] == 1
         assert result["digest"] == session.digest()
 
+    def test_parallel_legalize_streams_progress_and_matches_serial(
+        self, tmp_path
+    ):
+        """workers=2 runs through the shard coordinator: the result is
+        parallel, checkpoint watermarks stream as progress, no worker
+        outlives the request, and the placement equals workers=1."""
+        import multiprocessing
+
+        events = []
+        session = make_session(
+            cells=400, snapshot_dir=str(tmp_path / "snap")
+        )
+        result = session.execute(
+            "legalize", {"workers": 2, "shards": 2}, progress=events.append
+        )
+        assert result["parallel"] is True
+        assert result["workers"] == 2 and result["num_shards"] == 2
+        assert result["violations"] == 0
+        shards = [e for e in events if e["stage"] == "shards"]
+        assert [e["done"] for e in shards] == [1, 2]
+        assert all(e["total"] == 2 for e in shards)
+        assert events[0]["stage"] == "started"
+        assert events[-1]["stage"] == "audited"
+        assert multiprocessing.active_children() == []
+
+        serial = make_session(cells=400)
+        serial.execute("legalize", {"workers": 1, "shards": 2})
+        assert result["digest"] == serial.digest()
+
     def test_stats_and_digest_do_not_advance_seq(self):
         session = legalized_session()
         seq = session.seq

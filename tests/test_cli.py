@@ -71,7 +71,7 @@ class TestLegalize:
         )
         assert rc == 0
         captured = capsys.readouterr().out
-        assert "engine: transport=local shards=2 workers=2" in captured
+        assert "engine: shards=2 workers=2" in captured
         assert "violations 0" in captured
         assert main(["check", str(out / "clitest.aux")]) == 0
         capsys.readouterr()
@@ -157,13 +157,8 @@ class TestFaultToleranceFlags:
              "--shard-timeout", "30", "--shard-retries", "1"]
         )
         assert rc == 0
-        assert "violations 0" in capsys.readouterr().out
-
-    def test_no_supervise_bare_pool(self, generated, capsys):
-        rc = main(["legalize", str(generated), *self.PAR, "--no-supervise"])
-        assert rc == 0
         out = capsys.readouterr().out
-        assert "engine: transport=local shards=2 workers=2" in out
+        assert "engine: shards=2 workers=2" in out
         assert "violations 0" in out
 
     def test_quarantine_flag_reports_empty(self, generated, capsys):
@@ -175,7 +170,7 @@ class TestFaultToleranceFlags:
         self, generated, capsys, monkeypatch
     ):
         """The documented chaos drill: crash shard 0's first worker via
-        the environment hook; the supervised run must self-heal."""
+        the environment hook; the coordinator must self-heal the run."""
         monkeypatch.setenv("REPRO_WORKER_FAULT", "crash,shard=0,attempts=1")
         rc = main(["legalize", str(generated), *self.PAR])
         assert rc == 0
